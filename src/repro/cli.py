@@ -49,10 +49,11 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         return 2
     if len(paths) > 1 and (
         args.stop_after or args.resume_from or args.save_artifacts
+        or args.hier_tree
     ):
         print(
-            "error: --stop-after/--resume-from/--save-artifacts work on a "
-            "single netlist, not a batch",
+            "error: --stop-after/--resume-from/--save-artifacts/--hier-tree "
+            "work on a single netlist, not a batch",
             file=sys.stderr,
         )
         return 2
@@ -82,47 +83,31 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         net, _, label = spec.partition("=")
         port_labels[net] = label
 
-    mode = "lenient" if args.lenient else "strict"
     if args.hier_tree and args.flat:
         print("error: --hier-tree implies --hier, not --flat", file=sys.stderr)
         return 2
-    hier = bool(args.hier or args.hier_tree)
+    # The run options a single deck and a batch share.
+    shared = dict(
+        port_labels=port_labels,
+        mode="lenient" if args.lenient else "strict",
+        profile=bool(args.profile),
+        artifact_cache=args.artifact_cache,
+        hier=args.hier,
+    )
     if len(paths) > 1:
-        return _annotate_batch(args, pipeline, paths, port_labels, mode, hier)
-    if args.stop_after or args.resume_from:
-        profiler = None
-        if args.profile:
-            from repro.runtime.profile import PipelineProfiler
-
-            profiler = PipelineProfiler()
-        staged = pipeline.run_staged(
-            paths[0].read_text() if paths else None,
-            port_labels=port_labels,
-            name=paths[0].stem if paths else "",
-            mode=mode,
-            profiler=profiler,
-            artifact_cache=args.artifact_cache,
-            save_artifacts=args.save_artifacts,
-            resume_from=args.resume_from,
-            stop_after=args.stop_after,
-            hier=hier,
-            hier_tree=bool(args.hier_tree),
-        )
-        if not staged.complete:
-            return _report_staged_stop(args, staged, profiler)
-        result = pipeline.result_from_staged(staged, profiler=profiler)
-    else:
-        result = pipeline.run(
-            paths[0].read_text(),
-            port_labels=port_labels,
-            name=paths[0].stem,
-            mode=mode,
-            profile=bool(args.profile),
-            artifact_cache=args.artifact_cache,
-            save_artifacts=args.save_artifacts,
-            hier=hier,
-            hier_tree=bool(args.hier_tree),
-        )
+        return _annotate_batch(args, pipeline, paths, shared)
+    staged = pipeline.run_staged(
+        paths[0].read_text() if paths else None,
+        resume_from=args.resume_from,
+        stop_after=args.stop_after,
+        name=paths[0].stem if paths else "",
+        save_artifacts=args.save_artifacts,
+        hier_tree=args.hier_tree,
+        **shared,
+    )
+    if not staged.complete:
+        return _report_staged_stop(args, staged)
+    result = pipeline.result_from_staged(staged)
     source = paths[0] if paths else Path(args.resume_from)
     _report_result_health(source, result)
     _report_hier_summary(result)
@@ -152,16 +137,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         print(f"wrote constraints/hierarchy/graph exports to {out}", file=sys.stderr)
 
     if args.json:
-        payload = {
-            "devices": result.annotation.element_classes,
-            "nets": result.annotation.net_classes,
-            "hierarchy": result.hierarchy.to_dict(),
-            "hier": result.hier.as_dict() if result.hier else None,
-            "timings": result.timings,
-            "degraded": result.degraded,
-            "diagnostics": [d.to_dict() for d in result.diagnostics],
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_result_payload(result), indent=2))
         return 0
 
     print("per-device annotation:")
@@ -178,7 +154,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_staged_stop(args: argparse.Namespace, staged, profiler) -> int:
+def _report_staged_stop(args: argparse.Namespace, staged) -> int:
     """Render a staged run that halted before ``hierarchy``.
 
     One line per produced artifact (stage, type, fingerprint), flagged
@@ -193,14 +169,25 @@ def _report_staged_stop(args: argparse.Namespace, staged, profiler) -> int:
         print(f"  {artifact.describe()}{hit}{where}")
     for diag in staged.diagnostics:
         print(diag.format(), file=sys.stderr)
-    if args.profile and profiler is not None:
-        for stage_name, seconds in staged.timings().items():
-            profiler.record_stage(stage_name, seconds)
+    if args.profile:
         Path(args.profile).write_text(
-            json.dumps(profiler.as_dict(), indent=2) + "\n"
+            json.dumps(staged.profile(), indent=2) + "\n"
         )
         print(f"wrote stage profile to {args.profile}", file=sys.stderr)
     return 0
+
+
+def _result_payload(result) -> dict:
+    """The ``--json`` record of one annotated deck."""
+    return {
+        "devices": result.annotation.element_classes,
+        "nets": result.annotation.net_classes,
+        "hierarchy": result.hierarchy.to_dict(),
+        "hier": result.hier.as_dict() if result.hier else None,
+        "timings": result.timings,
+        "degraded": result.degraded,
+        "diagnostics": [d.to_dict() for d in result.diagnostics],
+    }
 
 
 def _report_hier_summary(result) -> None:
@@ -232,9 +219,7 @@ def _annotate_batch(
     args: argparse.Namespace,
     pipeline,
     paths: list[Path],
-    port_labels: dict,
-    mode: str,
-    hier: bool = False,
+    shared: dict,
 ) -> int:
     """Batch-annotate several decks through ``GanaPipeline.run_many``.
 
@@ -245,14 +230,10 @@ def _annotate_batch(
     results = pipeline.run_many(
         [path.read_text() for path in paths],
         names=[path.stem for path in paths],
-        port_labels=port_labels,
         workers=args.workers,
-        mode=mode,
-        on_error="report" if mode == "lenient" else "raise",
+        on_error="report" if args.lenient else "raise",
         timeout=args.timeout,
-        profile=bool(args.profile),
-        artifact_cache=args.artifact_cache,
-        hier=hier,
+        **shared,
     )
     if args.profile:
         # Failed items carry the partial pre-failure profile too
@@ -278,37 +259,18 @@ def _annotate_batch(
             _report_result_health(path, result)
             _report_hier_summary(result)
     if args.json:
-        payload = []
-        for path, result in zip(paths, results):
-            if result.ok:
-                payload.append(
-                    {
-                        "netlist": str(path),
-                        "devices": result.annotation.element_classes,
-                        "nets": result.annotation.net_classes,
-                        "hierarchy": result.hierarchy.to_dict(),
-                        "hier": (
-                            result.hier.as_dict() if result.hier else None
-                        ),
-                        "timings": result.timings,
-                        "degraded": result.degraded,
-                        "diagnostics": [
-                            d.to_dict() for d in result.diagnostics
-                        ],
-                    }
-                )
-            else:
-                payload.append(
-                    {
-                        "netlist": str(path),
-                        "failed": True,
-                        "stage": result.stage,
-                        "error": result.error,
-                        "diagnostics": [
-                            d.to_dict() for d in result.diagnostics
-                        ],
-                    }
-                )
+        payload = [
+            {"netlist": str(path), **_result_payload(result)}
+            if result.ok
+            else {
+                "netlist": str(path),
+                "failed": True,
+                "stage": result.stage,
+                "error": result.error,
+                "diagnostics": [d.to_dict() for d in result.diagnostics],
+            }
+            for path, result in zip(paths, results)
+        ]
         print(json.dumps(payload, indent=2))
         return 1 if failures else 0
     for path, result in zip(paths, results):

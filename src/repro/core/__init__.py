@@ -53,6 +53,7 @@ _EXPORTS = {
     "ParsedDeck": "repro.core.stages",
     "Post1Result": "repro.core.stages",
     "Post2Result": "repro.core.stages",
+    "RunOptions": "repro.core.stages",
     "StageName": "repro.core.stages",
     "StagedRun": "repro.core.stages",
     "StagedRunner": "repro.core.stages",

@@ -52,11 +52,17 @@ from repro.spice.netlist import is_power_net
 HIER_MATCH_PREFIX = "hier-matches"
 
 
-#: net name → predicate truth vector.  The predicates are pure
-#: functions of the name and the PORT_PREDICATES table is a module
-#: constant, so the memo is safe to share across runs; power rails and
-#: testbench nets recur in every deck, making warm runs nearly free.
+#: net name → predicate truth vector.  The ``power``/``supply``/
+#: ``ground``/``signal`` predicates read the module-level rail regexes
+#: (``SUPPLY_NET_RE``/``GROUND_NET_RE``), so the memo is cleared at the
+#: start of every run (:func:`reset_predicate_profile_memo`), together
+#: with the ``is_power_net`` memo.
 _PRED_PROFILE_MEMO: dict[str, tuple[bool, ...]] = {}
+
+
+def reset_predicate_profile_memo() -> None:
+    """Drop every memoized :func:`_predicate_profile` vector."""
+    _PRED_PROFILE_MEMO.clear()
 
 
 def _predicate_profile(net: str) -> tuple[bool, ...]:

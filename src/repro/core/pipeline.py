@@ -34,9 +34,17 @@ the seven concrete stages defined here (:class:`ParseStage` …
 full surface — per-stage artifact caching and incremental recompute
 (``artifact_cache``), early stop (``stop_after``), resume from saved
 artifacts (``resume_from``), artifact export (``save_artifacts``).
-The pre-refactor single-function implementation is kept verbatim as
-:meth:`GanaPipeline._run_monolith`, the behavioral reference the
-golden tests compare against.
+
+Options: the per-run options are the fields of one frozen
+:class:`~repro.core.stages.RunOptions`.  ``run``, ``run_staged`` and
+``run_many`` take them as keywords (or ``run``/``run_staged`` as one
+``options`` object), normalize them once, and hand the same object to
+every stage through :attr:`~repro.core.stages.RunContext.options`.
+
+The pre-refactor single-function implementation lives in
+:func:`repro.testing.reference.run_monolith`, the behavioral reference
+the golden tests and the ``staged_vs_monolith`` fuzz oracle compare
+against.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,22 +81,20 @@ from repro.core.stages import (
     Post2Result,
     PrimitiveMatchCache,
     RunContext,
+    RunOptions,
     StagedRun,
     StagedRunner,
     StageName,
     annotator_fingerprint,
     content_fingerprint,
     load_artifacts,
-    reset_power_net_memo,
 )
 from repro.graph.bipartite import CircuitGraph
-from repro.graph.features import NetRole
 from repro.primitives.library import (
     PrimitiveLibrary,
     extended_library,
     library_fingerprint,
 )
-from repro.runtime.cache import ArtifactCache
 from repro.runtime.resilience import (
     Diagnostic,
     FailureReport,
@@ -368,92 +374,41 @@ class GanaPipeline:
     def run(
         self,
         netlist: str | Netlist | Circuit,
-        net_roles: dict[str, NetRole] | None = None,
-        port_labels: dict[str, str] | None = None,
-        name: str = "",
-        infer_testbench: bool = True,
-        mode: str = "strict",
-        profile: bool = False,
-        artifact_cache: ArtifactCache | str | Path | None = None,
-        save_artifacts: str | Path | None = None,
-        hier: bool = False,
-        hier_tree: bool = False,
+        *,
+        options: RunOptions | None = None,
+        **fields,
     ) -> PipelineResult:
         """Execute the full flow on a SPICE deck / netlist / flat circuit.
 
-        ``profile=True`` attaches a structured profile to
-        :attr:`PipelineResult.profile`: per-stage wall-clock (the same
-        numbers as ``timings``) plus per-primitive-template matching
-        statistics from Postprocessing I (launches, matches, seconds,
-        kind-histogram skips) — see :mod:`repro.runtime.profile`.
-
-        When the deck still contains its testbench sources and
-        ``infer_testbench`` is on, antenna/oscillating port labels and
-        bias net roles are inferred from them (Sec. V-A footnote 2);
-        explicit ``port_labels``/``net_roles`` entries always win.
-
-        ``mode="lenient"`` parses and elaborates with error recovery:
-        malformed cards and broken instances are skipped, and the
-        collected :class:`~repro.runtime.resilience.Diagnostic` records
-        land on :attr:`PipelineResult.diagnostics`.  Escaping
-        exceptions are tagged with the stage they came from (``parse``,
-        ``preprocess``, ``graph``, ``gcn``, ``post1``, ``post2``,
-        ``hierarchy``) for :func:`~repro.runtime.resilience.failure_report`.
-
-        ``artifact_cache`` (an
-        :class:`~repro.runtime.cache.ArtifactCache` or a directory
-        path) turns on per-stage incremental recompute: stages whose
-        derivation fingerprint is unchanged load from the cache instead
-        of re-running — e.g. re-annotating with a different primitive
-        library reuses the parse/preprocess/graph/GCN artifacts and
-        recomputes only Postprocessing I onwards.  ``save_artifacts``
-        writes every stage's artifact under the given directory (for
-        later ``run_staged(resume_from=...)``).  Both default to off;
-        the default call is byte-identical to the legacy monolith.
+        The per-run options are the fields of
+        :class:`~repro.core.stages.RunOptions`, given as keywords, as
+        one ``options`` object, or both (keywords win).  Escaping
+        exceptions are tagged with the stage they came from (``parse``
+        … ``hierarchy``) for
+        :func:`~repro.runtime.resilience.failure_report`.  With the
+        default options the result is semantically identical to the
+        monolith reference (:func:`repro.testing.reference.run_monolith`).
         """
-        profiler = None
-        if profile:
-            from repro.runtime.profile import PipelineProfiler
-
-            profiler = PipelineProfiler()
-        staged = self.run_staged(
-            netlist,
-            net_roles=net_roles,
-            port_labels=port_labels,
-            name=name,
-            infer_testbench=infer_testbench,
-            mode=mode,
-            profiler=profiler,
-            artifact_cache=artifact_cache,
-            save_artifacts=save_artifacts,
-            hier=hier,
-            hier_tree=hier_tree,
-        )
-        return self.result_from_staged(staged, profiler=profiler)
+        options = RunOptions.merge(options, **fields)
+        return self.result_from_staged(self.run_staged(netlist, options=options))
 
     def run_staged(
         self,
         netlist: str | Netlist | Circuit | None = None,
-        net_roles: dict[str, NetRole] | None = None,
-        port_labels: dict[str, str] | None = None,
-        name: str = "",
-        infer_testbench: bool = True,
-        mode: str = "strict",
-        profiler=None,
-        artifact_cache: ArtifactCache | str | Path | None = None,
-        save_artifacts: str | Path | None = None,
+        *,
         resume_from=None,
         stop_after: StageName | str | None = None,
         gcn_annotation: Annotation | None = None,
-        hier: bool = False,
-        hier_tree: bool = False,
+        options: RunOptions | None = None,
+        **fields,
     ) -> StagedRun:
         """Run the stage chain with full staged-execution control.
 
         Returns the :class:`~repro.core.stages.StagedRun` (artifacts,
-        per-stage seconds, cache hits) instead of a
+        per-stage seconds, cache hits, profiler) instead of a
         :class:`PipelineResult`; feed a complete run through
         :meth:`result_from_staged` to get the classic result object.
+        The per-run options are taken as in :meth:`run`.
 
         ``stop_after`` halts the chain after the named stage
         (:class:`~repro.core.stages.StageName` or its string value).
@@ -461,29 +416,15 @@ class GanaPipeline:
         :class:`~repro.core.stages.Artifact`, a saved artifact file, a
         directory of them, or an iterable of any of those; the chain
         restarts after the furthest seeded stage, so ``netlist`` may be
-        omitted when resuming.  ``artifact_cache`` / ``save_artifacts``
-        as in :meth:`run`.
+        omitted when resuming.
 
         ``gcn_annotation`` hands the gcn stage a precomputed
         :class:`~repro.core.annotator.Annotation` (from a packed
         :meth:`GcnAnnotator.annotate_batch` pass) to adopt instead of
         calling the annotator; degrade/confidence-floor semantics still
         apply to it.
-
-        ``hier`` turns on hierarchy-scoped annotation: flattening also
-        emits a :class:`~repro.spice.flatten.DesignTree`, and
-        Postprocessing I dedupes VF2 matching across repeated subckt
-        instances (byte-identical results; see
-        :mod:`repro.core.hier_annotate`).  ``hier_tree`` (implies
-        ``hier``) additionally builds the hierarchy tree from the
-        instance table, nesting recognized blocks under their true
-        subckt instances — a deliberate output-shape deviation from
-        the flat path.
         """
-        hier = hier or hier_tree
-        cache = artifact_cache
-        if cache is not None and not isinstance(cache, ArtifactCache):
-            cache = ArtifactCache(cache)
+        options = RunOptions.merge(options, **fields)
         resume: list[Artifact] = []
         if resume_from is not None:
             candidates = (
@@ -496,36 +437,25 @@ class GanaPipeline:
                     resume.append(item)
                 else:
                     resume.extend(load_artifacts(item))
+        profiler = None
+        if options.profile:
+            from repro.runtime.profile import PipelineProfiler
+
+            profiler = PipelineProfiler()
         ctx = RunContext(
             pipeline=self,
             netlist=netlist,
-            net_roles=net_roles,
-            port_labels=port_labels,
-            name=name,
-            infer_testbench=infer_testbench,
-            mode=mode,
+            options=options,
             profiler=profiler,
-            cache=cache,
-            save_dir=Path(save_artifacts) if save_artifacts else None,
             gcn_annotation=gcn_annotation,
-            hier=hier,
-            hier_tree=hier_tree,
         )
         runner = StagedRunner(default_stages())
         return runner.execute(ctx, resume=resume, stop_after=stop_after)
 
-    def result_from_staged(
-        self, staged: StagedRun, profiler=None
-    ) -> PipelineResult:
+    def result_from_staged(self, staged: StagedRun) -> PipelineResult:
         """Assemble the classic :class:`PipelineResult` from a complete
         staged run (raises if the run stopped before ``hierarchy``)."""
         final = staged.final
-        timings = staged.timings()
-        profile_dict = None
-        if profiler is not None:
-            for stage_name, seconds in timings.items():
-                profiler.record_stage(stage_name, seconds)
-            profile_dict = profiler.as_dict()
         return PipelineResult(
             graph=final.gcn_annotation.graph,
             gcn_annotation=final.gcn_annotation,
@@ -534,135 +464,12 @@ class GanaPipeline:
             hierarchy=final.hierarchy,
             constraints=final.constraints,
             preprocess_report=final.report,
-            timings=timings,
+            timings=staged.timings(),
             diagnostics=list(staged.diagnostics),
             degraded=final.degraded,
             degraded_reason=final.degraded_reason,
-            profile=profile_dict,
+            profile=staged.profile(),
             hier=getattr(final, "hier", None),
-        )
-
-    def _run_monolith(
-        self,
-        netlist: str | Netlist | Circuit,
-        net_roles: dict[str, NetRole] | None = None,
-        port_labels: dict[str, str] | None = None,
-        name: str = "",
-        infer_testbench: bool = True,
-        mode: str = "strict",
-        profile: bool = False,
-    ) -> PipelineResult:
-        """The pre-staged single-function implementation, kept verbatim.
-
-        This is the behavioral reference for the staged runner: the
-        golden tests assert :meth:`run` produces a semantically
-        identical :class:`PipelineResult` on every example netlist.  Do
-        not add features here — it exists to be compared against.
-        """
-        reset_power_net_memo()
-        timings: dict[str, float] = {}
-        diagnostics: list[Diagnostic] = []
-        lenient = mode == "lenient"
-        profiler = None
-        if profile:
-            from repro.runtime.profile import PipelineProfiler
-
-            profiler = PipelineProfiler()
-
-        with stage("preprocess", timings, diagnostics):
-            with stage("parse", diagnostics=diagnostics):
-                if isinstance(netlist, str):
-                    netlist = parse_netlist(netlist, mode=mode)
-                if isinstance(netlist, Netlist):
-                    diagnostics.extend(netlist.diagnostics)
-                    flat = flatten(
-                        netlist, diagnostics=diagnostics if lenient else None
-                    )
-                else:
-                    flat = netlist
-            if infer_testbench and any(d.kind.is_source for d in flat.devices):
-                from repro.core.testbench import (
-                    infer_net_roles,
-                    infer_port_labels,
-                )
-
-                inferred_labels = infer_port_labels(flat)
-                inferred_labels.update(port_labels or {})
-                port_labels = inferred_labels
-                inferred_roles = infer_net_roles(flat)
-                inferred_roles.update(net_roles or {})
-                net_roles = inferred_roles
-            reduced, report = preprocess(flat)
-
-        with stage("graph", timings, diagnostics):
-            graph = CircuitGraph.from_circuit(reduced)
-
-        degraded_reason: str | None = None
-        with stage("gcn", timings, diagnostics):
-            try:
-                gcn_annotation = self.annotator.annotate(
-                    graph, net_roles=net_roles
-                )
-            except Exception as exc:
-                if not self.degrade:
-                    raise
-                degraded_reason = (
-                    f"GCN inference failed "
-                    f"({type(exc).__name__}: {exc}); fell back to the "
-                    f"template-library classifier"
-                )
-            else:
-                if (
-                    self.degrade
-                    and self.confidence_floor > 0.0
-                    and gcn_annotation.probabilities is not None
-                    and graph.n_vertices > 0
-                ):
-                    top = gcn_annotation.probabilities.max(axis=1)
-                    if float(top.max()) < self.confidence_floor:
-                        degraded_reason = (
-                            f"every vertex confidence below the "
-                            f"{self.confidence_floor:g} floor; fell back "
-                            f"to the template-library classifier"
-                        )
-            if degraded_reason is not None:
-                gcn_annotation = self._degraded_annotation(graph)
-
-        with stage("post1", timings, diagnostics):
-            post1 = postprocess_ccc(
-                gcn_annotation,
-                self.library,
-                detect_bpf=self.detect_bpf,
-                profiler=profiler,
-            )
-
-        with stage("post2", timings, diagnostics):
-            post2 = apply_port_rules(post1, port_labels or {})
-
-        with stage("hierarchy", timings, diagnostics):
-            hierarchy, constraints = build_hierarchy(
-                post2, system_name=name or flat.name
-            )
-
-        profile_dict = None
-        if profiler is not None:
-            for stage_name, seconds in timings.items():
-                profiler.record_stage(stage_name, seconds)
-            profile_dict = profiler.as_dict()
-
-        return PipelineResult(
-            graph=graph,
-            gcn_annotation=gcn_annotation,
-            post1=post1,
-            post2=post2,
-            hierarchy=hierarchy,
-            constraints=constraints,
-            preprocess_report=report,
-            timings=timings,
-            diagnostics=diagnostics,
-            degraded=degraded_reason is not None,
-            degraded_reason=degraded_reason,
-            profile=profile_dict,
         )
 
     # -- graceful degradation ---------------------------------------------
@@ -718,175 +525,113 @@ class GanaPipeline:
         self,
         netlists: list[str | Netlist | Circuit],
         names: list[str] | None = None,
-        port_labels: dict[str, str] | list[dict[str, str] | None] | None = None,
-        net_roles: dict[str, NetRole] | list[dict[str, NetRole] | None] | None = None,
-        infer_testbench: bool = True,
+        *,
         workers: int | None = None,
-        chunksize: int | None = None,
-        mode: str = "strict",
         on_error: str = "raise",
         timeout: float | None = None,
-        pool_retries: int = 2,
-        profile: bool = False,
-        artifact_cache: ArtifactCache | str | Path | None = None,
-        hier: bool = False,
+        **fields,
     ) -> list[PipelineResult | FailureReport]:
         """Annotate a fleet of netlists, in parallel where possible.
 
         Each netlist goes through exactly the same :meth:`run` flow;
         results come back in input order and are identical to a serial
         ``[self.run(n) for n in netlists]`` (only wall-clock differs).
-        ``port_labels``/``net_roles`` may be a single mapping applied to
-        every netlist or a per-netlist list; ``names`` is an optional
-        per-netlist system-name list.  ``workers`` follows
-        :func:`repro.runtime.parallel.resolve_workers` (explicit >
-        ``GANA_WORKERS`` > cpu count); one worker, one netlist, or an
-        unusable pool all degrade to the serial loop.
+        ``fields`` are the :class:`~repro.core.stages.RunOptions` every
+        deck shares — all but ``name``, ``save_artifacts`` and
+        ``hier_tree`` — validated before any deck runs;
+        ``port_labels``/``net_roles`` may also be per-netlist lists,
+        and ``names`` is an optional per-netlist system-name list.
+        ``workers`` follows :func:`repro.runtime.parallel.resolve_workers`.
 
-        Fault isolation: with ``on_error="report"`` a failing item does
-        not sink the batch — its slot holds a
-        :class:`~repro.runtime.resilience.FailureReport` (failing stage,
-        exception chain, diagnostics) instead of a
-        :class:`PipelineResult`, still in input order; filter with
-        ``r.ok``.  ``on_error="raise"`` (default) preserves the original
-        fail-fast contract.  ``timeout`` is a per-item wall-clock
-        ceiling in seconds (SIGALRM-based, see
-        :func:`~repro.runtime.resilience.time_limit`); a deck that blows
-        it becomes a ``BudgetExceeded`` failure for that item only.
-        ``mode`` and ``profile`` are forwarded to :meth:`run` (each
-        result carries its own profile); ``pool_retries`` bounds
-        retry-with-backoff when the worker pool itself dies a transient
-        death (see :func:`repro.runtime.parallel.parallel_map`).
+        With ``on_error="report"`` a failing item does not sink the
+        batch: its slot holds a
+        :class:`~repro.runtime.resilience.FailureReport` instead (filter
+        with ``r.ok``); ``"raise"`` (default) fails fast.  ``timeout``
+        is a per-item wall-clock ceiling in seconds
+        (:func:`~repro.runtime.resilience.time_limit`).
 
-        The trained pipeline ships to each worker once (pool
-        initializer), not once per netlist, so per-item IPC stays
-        proportional to the netlist text + result.  Pools themselves
-        are kept warm between ``run_many`` calls: the initializer state
-        is fingerprinted (annotator weights, library, degrade knobs),
-        so a repeat call with an equivalent pipeline reuses the
-        already-initialized workers instead of re-forking and
-        re-pickling the model (see
-        :func:`repro.runtime.parallel.shutdown_pools`).
-
-        Batched GCN inference: when the annotator supports
-        :meth:`~repro.core.annotator.GcnAnnotator.annotate_batch` (and
-        no ``timeout``/``artifact_cache`` complicates the split), each
-        worker receives a contiguous *chunk* of netlists, runs every
-        deck up to the graph stage, classifies all of the chunk's
-        graphs in one block-diagonal packed forward, then finishes each
-        deck from the precomputed annotation.  Results are unchanged
-        (class predictions are identical; softmax probabilities agree
-        to fp64 rounding — see ``repro/gcn/batch.py``); the packed GCN
-        seconds are attributed to each item proportional to its vertex
-        count.  Any packed failure falls back to the ordinary per-item
-        flow for that chunk.
-
-        ``artifact_cache`` (an
-        :class:`~repro.runtime.cache.ArtifactCache` or directory path)
-        is forwarded to every item's :meth:`run`: the cache object is
-        just a directory handle, so it pickles to pool workers and the
-        whole fleet shares one on-disk artifact store.  (Cache-backed
-        fleets use the per-item flow, so batched inference never
-        bypasses or pollutes the content-addressed store.)
+        One flow: the fleet is cut into chunks, each run by
+        :func:`_run_pipeline_chunk`.  One worker (or one deck): one deck
+        per chunk, in-process, never touching the pool.  A ``timeout``,
+        an ``artifact_cache``, or an annotator without ``annotate_batch``:
+        one deck per chunk across the pool (cache-backed fleets thus
+        never see packed-forward logits).  Otherwise one contiguous
+        chunk per worker, classified in one packed GCN forward (class
+        predictions identical, probabilities to fp64 rounding — see
+        ``repro/gcn/batch.py``).  The trained pipeline ships to each
+        worker once, and warm pools are reused across calls
+        (:meth:`_pool_key`).  Transient pool deaths are retried twice;
+        under ``on_error="report"`` a deck that kills its worker is
+        bisected out as one ``stage="worker"`` report.
         """
         if on_error not in ("raise", "report"):
             raise ValueError(
                 f"on_error must be 'raise' or 'report', got {on_error!r}"
             )
+        rejected = sorted(set(fields) & _SINGLE_RUN_ONLY)
+        if rejected:
+            raise TypeError(f"run_many() does not take {', '.join(rejected)}")
         from repro.runtime.parallel import parallel_map, resolve_workers
 
-        def per_item(value, index):
-            if isinstance(value, (list, tuple)):
-                return value[index]
-            return value
-
+        per_item = {
+            key: fields.pop(key)
+            for key in ("port_labels", "net_roles")
+            if isinstance(fields.get(key), (list, tuple))
+        }
+        shared = RunOptions(**fields)
         jobs = [
-            {
-                "index": i,
-                "isolate": on_error == "report",
-                "timeout": timeout,
-                "kwargs": {
-                    "netlist": netlist,
-                    "net_roles": per_item(net_roles, i),
-                    "port_labels": per_item(port_labels, i),
-                    "name": names[i] if names else "",
-                    "infer_testbench": infer_testbench,
-                    "mode": mode,
-                    "profile": profile,
-                    "artifact_cache": artifact_cache,
-                    "hier": hier,
-                },
-            }
+            BatchJob(
+                index=i,
+                netlist=netlist,
+                options=replace(
+                    shared,
+                    name=names[i] if names else "",
+                    **{key: values[i] for key, values in per_item.items()},
+                ),
+                isolate=on_error == "report",
+                timeout=timeout,
+            )
             for i, netlist in enumerate(netlists)
         ]
-        if resolve_workers(workers) <= 1 or len(jobs) <= 1:
-            return [_run_pipeline_job(self, job) for job in jobs]
-        batched = (
-            timeout is None
-            and artifact_cache is None
+        n_workers = min(resolve_workers(workers), len(jobs))
+        packed = (
+            n_workers > 1
+            and timeout is None
+            and shared.artifact_cache is None
             and callable(getattr(self.annotator, "annotate_batch", None))
         )
-        # Pool supervision (on_error="report" only): a worker killed
-        # outright (segfault, OOM kill, os._exit) breaks the whole
-        # executor, so parallel_map bisects the batch to quarantine the
-        # poison deck — its slot becomes a stage="worker" FailureReport
-        # while every sibling deck still completes.  With
-        # on_error="raise" the historical contract stands: blind
-        # retry, then the serial fallback re-raises.
-        def job_crash(job, exc):
-            return worker_crash_report(
-                exc, index=job["index"], name=job["kwargs"]["name"]
-            )
-
-        supervise = on_error == "report"
-        if not batched:
-            return parallel_map(
-                _pipeline_worker_run,
-                jobs,
-                workers=workers,
-                chunksize=chunksize,
-                initializer=_pipeline_worker_init,
-                initargs=(self,),
-                pool_retries=pool_retries,
-                pool_key=self._pool_key(),
-                on_crash=job_crash if supervise else None,
-            )
-        # Contiguous chunks, one per worker, so every worker gets one
-        # packed GCN forward for its whole share of the fleet.
-        n_workers = min(resolve_workers(workers), len(jobs))
-        bounds = [len(jobs) * k // n_workers for k in range(n_workers + 1)]
-        chunks = [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        if packed:
+            bounds = [len(jobs) * k // n_workers for k in range(n_workers + 1)]
+            chunks = [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        else:
+            chunks = [[job] for job in jobs]
+        if n_workers <= 1:
+            return [r for c in chunks for r in _run_pipeline_chunk(self, c)]
 
         def chunk_crash(chunk, exc):
-            # The crash is somewhere in this chunk.  Re-dispatch its
-            # jobs individually (plain per-item flow, no packed GCN)
-            # so only the poison deck degrades to a FailureReport.
             if len(chunk) == 1:
-                return [job_crash(chunk[0], exc)]
-            return parallel_map(
-                _pipeline_worker_run,
-                chunk,
-                workers=min(n_workers, len(chunk)),
-                chunksize=1,
+                job = chunk[0]
+                return [
+                    worker_crash_report(
+                        exc, index=job.index, name=job.options.name
+                    )
+                ]
+            return dispatch([[job] for job in chunk], retries=0)
+
+        def dispatch(chunks, retries):
+            nested = parallel_map(
+                _pipeline_worker_run_chunk,
+                chunks,
+                workers=n_workers,
                 initializer=_pipeline_worker_init,
                 initargs=(self,),
-                pool_retries=0,
+                pool_retries=retries,
                 pool_key=self._pool_key(),
-                on_crash=job_crash,
+                on_crash=chunk_crash if on_error == "report" else None,
             )
+            return [result for chunk in nested for result in chunk]
 
-        nested = parallel_map(
-            _pipeline_worker_run_chunk,
-            chunks,
-            workers=workers,
-            chunksize=1,
-            initializer=_pipeline_worker_init,
-            initargs=(self,),
-            pool_retries=pool_retries,
-            pool_key=self._pool_key(),
-            on_crash=chunk_crash if supervise else None,
-        )
-        return [result for chunk in nested for result in chunk]
+        return dispatch(chunks, retries=_POOL_RETRIES)
 
     def _pool_key(self) -> str | None:
         """Content fingerprint of the state ``_pipeline_worker_init``
@@ -930,7 +675,9 @@ class ParseStage:
             # cheaper than the generic structural walk, and this key is
             # recomputed on every warm run.
             root = content_fingerprint("netlist-object", repr(source))
-        return content_fingerprint("stage", self.name.value, root, ctx.mode)
+        return content_fingerprint(
+            "stage", self.name.value, root, ctx.options.mode
+        )
 
     def run(self, upstream: None, ctx: RunContext) -> ParsedDeck:
         source = ctx.netlist
@@ -939,12 +686,12 @@ class ParseStage:
                 "no input netlist and no artifact to resume from"
             )
         if isinstance(source, str):
-            source = parse_netlist(source, mode=ctx.mode)
+            source = parse_netlist(source, mode=ctx.options.mode)
         if isinstance(source, Netlist):
             ctx.diagnostics.extend(source.diagnostics)
         return ParsedDeck(
             source=source,
-            mode=ctx.mode,
+            mode=ctx.options.mode,
             diagnostics=tuple(ctx.diagnostics),
         )
 
@@ -957,25 +704,26 @@ class PreprocessStage:
     def cache_key(self, upstream_fp: str | None, ctx: RunContext) -> str | None:
         if upstream_fp is None:
             return None
+        options = ctx.options
         return content_fingerprint(
             "stage",
             self.name.value,
             upstream_fp,
-            ctx.infer_testbench,
-            ctx.port_labels,
-            ctx.net_roles,
-            ctx.hier,
+            options.infer_testbench,
+            options.port_labels,
+            options.net_roles,
+            options.hier,
         )
 
     def run(self, upstream: ParsedDeck, ctx: RunContext) -> FlatDesign:
         source = upstream.source
-        lenient = ctx.mode == "lenient"
+        lenient = ctx.options.mode == "lenient"
         # Flatten failures keep their historical "parse" failure tag
         # (innermost stage guard wins).
         tree = None
         with stage(StageName.PARSE, diagnostics=ctx.diagnostics):
             if isinstance(source, Netlist):
-                if ctx.hier:
+                if ctx.options.hier:
                     flat, tree = flatten_hierarchical(
                         source,
                         diagnostics=ctx.diagnostics if lenient else None,
@@ -987,9 +735,9 @@ class PreprocessStage:
                     )
             else:
                 flat = source
-        port_labels = ctx.port_labels
-        net_roles = ctx.net_roles
-        if ctx.infer_testbench and any(
+        port_labels = ctx.options.port_labels
+        net_roles = ctx.options.net_roles
+        if ctx.options.infer_testbench and any(
             d.kind.is_source for d in flat.devices
         ):
             from repro.core.testbench import (
@@ -1130,38 +878,37 @@ class Post1Stage:
             upstream_fp,
             library_fingerprint(ctx.pipeline.library),
             ctx.pipeline.detect_bpf,
-            ctx.hier,
+            ctx.options.hier,
         )
 
     def run(self, upstream: GcnPrediction, ctx: RunContext) -> Post1Result:
         from repro.graph.ccc import CCCPartition
 
         pipeline = ctx.pipeline
+        cache = ctx.options.artifact_cache
         tree = getattr(upstream, "tree", None)
         hier_cache = None
-        if ctx.hier and tree is not None and tree.instances:
+        if ctx.options.hier and tree is not None and tree.instances:
             from repro.core.hier_annotate import HierMatchCache
 
             hier_cache = HierMatchCache(
-                tree, artifact_cache=ctx.cache, profiler=ctx.profiler
+                tree, artifact_cache=cache, profiler=ctx.profiler
             )
             match_cache = hier_cache
         else:
             match_cache = (
-                PrimitiveMatchCache(ctx.cache)
-                if ctx.cache is not None
-                else None
+                PrimitiveMatchCache(cache) if cache is not None else None
             )
         # The CCC partition depends only on the graph/annotation, not on
         # the library — key it off the upstream (gcn) derivation key so
         # a library-only change reuses it across runs.
         partition = None
         partition_key = None
-        if ctx.cache is not None:
+        if cache is not None:
             gcn_key = ctx.stage_keys.get(StageName.GCN)
             if gcn_key:
                 partition_key = f"ccc-partition-{gcn_key}"
-                cached = ctx.cache.load(partition_key)
+                cached = cache.load(partition_key)
                 if isinstance(cached, CCCPartition):
                     partition = cached
         post1 = postprocess_ccc(
@@ -1173,7 +920,7 @@ class Post1Stage:
             match_cache=match_cache,
         )
         if partition is None and partition_key is not None:
-            ctx.cache.store(partition_key, post1.partition)
+            cache.store(partition_key, post1.partition)
         hier_report = None
         if hier_cache is not None:
             from repro.core.hier_annotate import annotate_definitions
@@ -1185,7 +932,7 @@ class Post1Stage:
                 # fail the run — the byte-identical output path does
                 # not consume them.
                 definition_annotations = annotate_definitions(
-                    tree, pipeline.annotator, cache=ctx.cache
+                    tree, pipeline.annotator, cache=cache
                 )
             except Exception:
                 _LOG.warning(
@@ -1244,18 +991,19 @@ class HierarchyStage:
     def cache_key(self, upstream_fp: str | None, ctx: RunContext) -> str | None:
         if upstream_fp is None:
             return None
+        options = ctx.options
         return content_fingerprint(
-            "stage", self.name.value, upstream_fp, ctx.name, ctx.hier_tree
+            "stage", self.name.value, upstream_fp, options.name, options.hier_tree
         )
 
     def run(self, upstream: Post2Result, ctx: RunContext) -> AnnotatedDesign:
         tree = getattr(upstream, "tree", None)
         instances = (
-            tree.instances if ctx.hier_tree and tree is not None else None
+            tree.instances if ctx.options.hier_tree and tree is not None else None
         )
         hierarchy, constraints = build_hierarchy(
             upstream.post2,
-            system_name=ctx.name or upstream.design_name,
+            system_name=ctx.options.name or upstream.design_name,
             instances=instances,
         )
         return AnnotatedDesign(
@@ -1286,29 +1034,51 @@ def default_stages() -> tuple:
     )
 
 
+#: ``RunOptions`` fields ``run_many`` does not take: per-deck names
+#: come from ``names``, one save directory cannot hold a fleet, and the
+#: instance-table tree is a single-deck view.
+_SINGLE_RUN_ONLY = frozenset({"name", "save_artifacts", "hier_tree"})
+
+#: Transient pool deaths ``run_many`` retries (with backoff) before the
+#: serial fallback; see :func:`repro.runtime.parallel.parallel_map`.
+_POOL_RETRIES = 2
+
+
+@dataclass(frozen=True)
+class BatchJob:
+    """One ``run_many`` item: its deck and options, plus the batch's
+    fault-isolation mode and per-item time ceiling."""
+
+    index: int
+    netlist: str | Netlist | Circuit
+    options: RunOptions
+    isolate: bool = False
+    timeout: float | None = None
+
+
 def _run_pipeline_job(
-    pipeline: GanaPipeline, job: dict
+    pipeline: GanaPipeline, job: BatchJob
 ) -> PipelineResult | FailureReport:
     """One batch item: run under the item's time ceiling, and — in
     isolation mode — convert any escape into a :class:`FailureReport`
     so the batch (and, across processes, the pool protocol) survives.
     """
-    kwargs = job["kwargs"]
-    label = kwargs["name"] or f"item {job['index']}"
+    name = job.options.name
+    label = name or f"item {job.index}"
     try:
-        with time_limit(job["timeout"], what=f"pipeline run for {label}"):
-            return pipeline.run(**kwargs)
+        with time_limit(job.timeout, what=f"pipeline run for {label}"):
+            return pipeline.run(job.netlist, options=job.options)
     except Exception as exc:
-        if not job["isolate"]:
+        if not job.isolate:
             raise
-        return failure_report(exc, index=job["index"], name=kwargs["name"])
+        return failure_report(exc, index=job.index, name=name)
 
 
 def _run_pipeline_chunk(
-    pipeline: GanaPipeline, jobs: list[dict]
+    pipeline: GanaPipeline, jobs: list[BatchJob]
 ) -> list[PipelineResult | FailureReport]:
-    """A worker's contiguous slice of a ``run_many`` fleet, classified
-    with one packed GCN forward.
+    """A contiguous slice of a ``run_many`` fleet, classified with one
+    packed GCN forward (a single-deck chunk is just :meth:`run`).
 
     Phase 1 runs every deck through the graph stage (with the usual
     per-item fault isolation); a single
@@ -1324,32 +1094,18 @@ def _run_pipeline_chunk(
     if len(jobs) < 2:
         return [_run_pipeline_job(pipeline, job) for job in jobs]
 
-    from repro.runtime.profile import PipelineProfiler
-
     results: list[PipelineResult | FailureReport | None] = [None] * len(jobs)
     phase1: list[StagedRun | None] = [None] * len(jobs)
-    profilers: list[PipelineProfiler | None] = [None] * len(jobs)
     for k, job in enumerate(jobs):
-        kwargs = job["kwargs"]
-        if kwargs["profile"]:
-            profilers[k] = PipelineProfiler()
         try:
             phase1[k] = pipeline.run_staged(
-                kwargs["netlist"],
-                net_roles=kwargs["net_roles"],
-                port_labels=kwargs["port_labels"],
-                name=kwargs["name"],
-                infer_testbench=kwargs["infer_testbench"],
-                mode=kwargs["mode"],
-                profiler=profilers[k],
-                stop_after=StageName.GRAPH,
-                hier=kwargs.get("hier", False),
+                job.netlist, options=job.options, stop_after=StageName.GRAPH
             )
         except Exception as exc:
-            if not job["isolate"]:
+            if not job.isolate:
                 raise
             results[k] = failure_report(
-                exc, index=job["index"], name=kwargs["name"]
+                exc, index=job.index, name=job.options.name
             )
 
     pending = [k for k in range(len(jobs)) if phase1[k] is not None]
@@ -1378,15 +1134,11 @@ def _run_pipeline_chunk(
 
     for k in pending:
         job = jobs[k]
-        kwargs = job["kwargs"]
         try:
             staged = pipeline.run_staged(
-                name=kwargs["name"],
-                mode=kwargs["mode"],
-                profiler=profilers[k],
+                options=job.options,
                 resume_from=[phase1[k].artifacts[StageName.GRAPH]],
                 gcn_annotation=annotations.get(k),
-                hier=kwargs.get("hier", False),
             )
             # Resuming seeds the pre-graph stages at 0 s; fold the real
             # phase-1 numbers back in, plus this item's share of the
@@ -1398,14 +1150,12 @@ def _run_pipeline_chunk(
                 staged.stage_seconds.get(StageName.GCN, 0.0)
                 + gcn_shares.get(k, 0.0)
             )
-            results[k] = pipeline.result_from_staged(
-                staged, profiler=profilers[k]
-            )
+            results[k] = pipeline.result_from_staged(staged)
         except Exception as exc:
-            if not job["isolate"]:
+            if not job.isolate:
                 raise
             results[k] = failure_report(
-                exc, index=job["index"], name=kwargs["name"]
+                exc, index=job.index, name=job.options.name
             )
     return results
 
@@ -1421,13 +1171,8 @@ def _pipeline_worker_init(pipeline: GanaPipeline) -> None:
     _WORKER_PIPELINE = pipeline
 
 
-def _pipeline_worker_run(job: dict) -> PipelineResult | FailureReport:
-    assert _WORKER_PIPELINE is not None, "worker initializer did not run"
-    return _run_pipeline_job(_WORKER_PIPELINE, job)
-
-
 def _pipeline_worker_run_chunk(
-    jobs: list[dict],
+    jobs: list[BatchJob],
 ) -> list[PipelineResult | FailureReport]:
     assert _WORKER_PIPELINE is not None, "worker initializer did not run"
     return _run_pipeline_chunk(_WORKER_PIPELINE, jobs)

@@ -24,6 +24,9 @@ cacheable step instead of one inline monolith:
 * :class:`Stage` — the ``Stage[I, O]`` protocol: consume the upstream
   artifact, produce this stage's artifact, and derive a cache key from
   the upstream *fingerprint* plus the stage's own configuration.
+* :class:`RunOptions` — the per-run options (port labels, mode,
+  caching, hierarchy flags …), normalized once and threaded through
+  the whole run as one frozen object on :attr:`RunContext.options`.
 * :class:`StagedRunner` — executes a stage chain with
   derivation-fingerprint caching (unchanged fingerprint ⇒ cache hit),
   ``stop_after``/``resume`` support, and per-stage save-to-disk.
@@ -72,6 +75,7 @@ from repro.runtime.cache import ArtifactCache, Memo
 from repro.runtime.resilience import Diagnostic
 from repro.runtime.resilience import stage as stage_guard
 from repro.spice.netlist import Circuit, Netlist, reset_power_net_memo
+from repro.spice.parser import PARSE_MODES
 from repro.spice.preprocess import PreprocessReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -533,6 +537,68 @@ class Stage(Protocol[I, O]):
         ...  # pragma: no cover - protocol
 
 
+@dataclass(frozen=True)
+class RunOptions:
+    """The per-run options of one pipeline execution.
+
+    One instance flows ``run`` → ``run_staged`` →
+    :attr:`RunContext.options` → every stage's ``cache_key``/``run``,
+    and through each ``run_many`` job; per-item fields change with
+    :func:`dataclasses.replace`.  ``__post_init__`` normalizes once:
+    ``mode`` must be one of :data:`~repro.spice.parser.PARSE_MODES`,
+    ``hier_tree`` implies ``hier``, an ``artifact_cache`` path becomes
+    an :class:`~repro.runtime.cache.ArtifactCache`, and
+    ``save_artifacts`` becomes a :class:`~pathlib.Path` (or ``None``).
+    """
+
+    #: Explicit net roles / port labels; they win over those inferred
+    #: from testbench sources (``infer_testbench``, Sec. V-A footnote 2).
+    net_roles: "dict[str, NetRole] | None" = None
+    port_labels: dict[str, str] | None = None
+    #: Hierarchy root name ("" keeps the deck's own name).
+    name: str = ""
+    infer_testbench: bool = True
+    #: ``"lenient"`` skips malformed cards and broken instances and
+    #: collects them as :class:`~repro.runtime.resilience.Diagnostic`.
+    mode: str = "strict"
+    #: Attach stage seconds plus per-template matching statistics
+    #: (:mod:`repro.runtime.profile`).
+    profile: bool = False
+    #: Per-stage incremental recompute: a stage whose derivation
+    #: fingerprint is unchanged loads its artifact from this cache.
+    artifact_cache: "ArtifactCache | str | Path | None" = None
+    #: Directory every stage's artifact is written to (for a later
+    #: ``run_staged(resume_from=...)``).
+    save_artifacts: "str | Path | None" = None
+    #: Hierarchy-scoped annotation (``--hier``): Postprocessing I
+    #: dedupes VF2 across repeated subckt instances via the DesignTree
+    #: (byte-identical results; :mod:`repro.core.hier_annotate`).
+    hier: bool = False
+    #: Nest recognized blocks under their subckt instances in the
+    #: hierarchy tree (a deliberate output-shape deviation; opt-in).
+    hier_tree: bool = False
+
+    def __post_init__(self) -> None:
+        if self.mode not in PARSE_MODES:
+            raise ValueError(
+                f"mode must be one of {PARSE_MODES}, got {self.mode!r}"
+            )
+        if self.hier_tree:
+            object.__setattr__(self, "hier", True)
+        cache = self.artifact_cache
+        if cache is not None and not isinstance(cache, ArtifactCache):
+            object.__setattr__(self, "artifact_cache", ArtifactCache(cache))
+        save = self.save_artifacts
+        object.__setattr__(self, "save_artifacts", Path(save) if save else None)
+
+    @classmethod
+    def merge(cls, options: "RunOptions | None", **fields: Any) -> "RunOptions":
+        """``options`` (``None``: all defaults) with ``fields`` replaced."""
+        if options is None:
+            return cls(**fields)
+        return dataclasses.replace(options, **fields) if fields else options
+
+
 @dataclass
 class RunContext:
     """Mutable per-run state shared by every stage of one execution.
@@ -544,24 +610,12 @@ class RunContext:
 
     pipeline: Any = None  # the GanaPipeline (duck-typed; no import cycle)
     netlist: "str | Netlist | Circuit | None" = None
-    net_roles: "dict[str, NetRole] | None" = None
-    port_labels: dict[str, str] | None = None
-    name: str = ""
-    infer_testbench: bool = True
-    mode: str = "strict"
+    options: RunOptions = field(default_factory=RunOptions)
     profiler: "PipelineProfiler | None" = None
-    cache: ArtifactCache | None = None
-    save_dir: Path | None = None
     #: Precomputed GCN annotation (batched inference): when set, the
     #: gcn stage adopts it instead of calling the annotator, so packed
     #: multi-deck forwards slot into the ordinary stage chain.
     gcn_annotation: "Annotation | None" = None
-    #: Hierarchy-scoped annotation (``--hier``): Postprocessing I
-    #: dedupes VF2 across repeated subckt instances via the DesignTree.
-    hier: bool = False
-    #: Build the hierarchy tree from the instance table (implies the
-    #: tree *shape* deviates from the flat path; opt-in).
-    hier_tree: bool = False
     diagnostics: list[Diagnostic] = field(default_factory=list)
     artifacts: dict[StageName, Artifact] = field(default_factory=dict)
     stage_seconds: dict[StageName, float] = field(default_factory=dict)
@@ -580,6 +634,8 @@ class StagedRun:
     cache_hits: tuple[StageName, ...]
     diagnostics: list[Diagnostic]
     saved: dict[StageName, Path] = field(default_factory=dict)
+    #: The run's profiler (``profile=True`` runs only).
+    profiler: "PipelineProfiler | None" = None
 
     @property
     def complete(self) -> bool:
@@ -608,6 +664,19 @@ class StagedRun:
     def timings(self) -> dict[str, float]:
         """Legacy-shaped timing dict (parse folded into preprocess)."""
         return fold_timings(self.stage_seconds)
+
+    def profile(self) -> dict | None:
+        """The profile dict (``None`` unless run with ``profile=True``):
+        :meth:`timings` as its stages plus the per-template statistics."""
+        if self.profiler is None:
+            return None
+        return _finish_profile(self.profiler, self.stage_seconds)
+
+
+def _finish_profile(profiler: "PipelineProfiler", stage_seconds) -> dict:
+    """Set ``profiler``'s stages to the folded stage seconds; its dict."""
+    profiler.stages.update(fold_timings(stage_seconds))
+    return profiler.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +718,12 @@ class StagedRunner:
     ) -> StagedRun:
         # A fresh run must never see rail-role answers memoized under a
         # previous deck's (possibly monkeypatched) net-name conventions.
+        from repro.core.hier_annotate import reset_predicate_profile_memo
+
         reset_power_net_memo()
+        reset_predicate_profile_memo()
+        cache = ctx.options.artifact_cache
+        save_dir = ctx.options.save_artifacts
 
         order = [impl.name for impl in self.stages]
         end = len(order) - 1
@@ -686,7 +760,7 @@ class StagedRunner:
         for impl in self.stages[:start]:
             ctx.stage_seconds.setdefault(impl.name, 0.0)
 
-        if ctx.cache is not None and ctx.save_dir is None:
+        if cache is not None and save_dir is None:
             hit = self._probe_backwards(ctx, keys, start, end)
             if hit is not None:
                 start, prev = hit
@@ -703,8 +777,8 @@ class StagedRunner:
                     key = keys.get(name)
                     if key is not None:
                         artifact.fingerprint = key
-                        if ctx.cache is not None:
-                            ctx.cache.store(key, artifact)
+                        if cache is not None:
+                            cache.store(key, artifact)
                 ctx.stage_seconds[name] = time.perf_counter() - started
                 ctx.artifacts[name] = artifact
                 prev = artifact
@@ -717,13 +791,14 @@ class StagedRunner:
             stage_seconds=dict(ctx.stage_seconds),
             cache_hits=tuple(ctx.cache_hits),
             diagnostics=ctx.diagnostics,
+            profiler=ctx.profiler,
         )
-        if ctx.save_dir is not None:
+        if save_dir is not None:
             for i, name in enumerate(STAGE_ORDER):
                 artifact = run.artifacts.get(name)
                 if artifact is not None:
                     run.saved[name] = artifact.save(
-                        ctx.save_dir / f"{i}-{name.value}{ARTIFACT_SUFFIX}"
+                        save_dir / f"{i}-{name.value}{ARTIFACT_SUFFIX}"
                     )
         return run
 
@@ -732,7 +807,8 @@ class StagedRunner:
     def _key_chain(self, ctx: RunContext) -> dict[StageName, str | None]:
         """Derive every stage's cache key by chaining fingerprints."""
         keys: dict[StageName, str | None] = {}
-        if ctx.cache is None and ctx.save_dir is None:
+        options = ctx.options
+        if options.artifact_cache is None and options.save_artifacts is None:
             return keys
         fp: str | None = None
         for impl in self.stages:
@@ -777,13 +853,14 @@ class StagedRunner:
         probe: bool = False,
     ) -> Artifact | None:
         """Cache lookup; only trusts entries of the stage's artifact type."""
-        if key is None or ctx.cache is None:
+        cache = ctx.options.artifact_cache
+        if key is None or cache is None:
             return None
-        if not probe and ctx.save_dir is None:
+        if not probe and ctx.options.save_artifacts is None:
             # Without a save dir, hits are taken by the backward probe;
             # the forward loop only computes.
             return None
-        artifact = ctx.cache.load(key)
+        artifact = cache.load(key)
         if not isinstance(artifact, ARTIFACT_TYPES.get(name, Artifact)):
             return None
         artifact.fingerprint = key
@@ -794,15 +871,12 @@ class StagedRunner:
 
     def _stamp_profile(self, ctx: RunContext, exc: BaseException) -> None:
         """Attach the partial profile so FailureReport can carry it."""
-        if ctx.profiler is None:
+        if ctx.profiler is None or hasattr(exc, "_gana_profile"):
             return
-        for key, seconds in fold_timings(ctx.stage_seconds).items():
-            ctx.profiler.record_stage(key, seconds)
-        if not hasattr(exc, "_gana_profile"):
-            try:
-                exc._gana_profile = ctx.profiler.as_dict()
-            except Exception:  # pragma: no cover - never block the raise
-                pass
+        try:
+            exc._gana_profile = _finish_profile(ctx.profiler, ctx.stage_seconds)
+        except Exception:  # pragma: no cover - never block the raise
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,19 @@ def parallel_map(
     n_workers = min(resolve_workers(workers), len(items))
     if n_workers <= 1 or len(items) <= 1:
         return _serial_map(fn, items, initializer, initargs)
+    try:
+        # Checked before any pool is checked out: an unpicklable fn
+        # fails every submitted future, and the executor's manager
+        # thread can then trip over futures already marked failed.
+        pickle.dumps(fn)
+    except _FATAL_POOL_ERRORS as exc:
+        _LOG.warning(
+            "%r cannot be pickled (%s: %s); running on the serial path",
+            fn,
+            type(exc).__name__,
+            exc,
+        )
+        return _serial_map(fn, items, initializer, initargs)
     chunksize = chunksize or default_chunksize(len(items), n_workers)
     reusable = initializer is None or pool_key is not None
     key = (n_workers, pool_key if initializer is not None else None)

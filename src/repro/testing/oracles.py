@@ -16,7 +16,8 @@ indexed_matching      ``find_primitive_matches(indexed=True)`` vs the
                       naive ``indexed=False`` reference, per template
 packed_gcn            ``GcnAnnotator.annotate_batch`` (block-diagonal
                       packed forward) vs per-sample ``annotate``
-staged_vs_monolith    ``GanaPipeline.run`` (staged) vs ``_run_monolith``
+staged_vs_monolith    ``GanaPipeline.run`` (staged) vs ``run_monolith``
+                      (:mod:`repro.testing.reference`)
 hier_vs_flat          ``run(hier=True)`` vs the flat run
 warm_cache            warm :class:`ArtifactCache` re-run (all stages
                       cache-hit) vs the cold run
@@ -55,6 +56,7 @@ from repro.testing.metamorphic import (
     apply_transform,
     check_invariant,
 )
+from repro.testing.reference import run_monolith
 
 
 class DivergenceError(AssertionError):
@@ -295,7 +297,7 @@ def check_packed_gcn(deck: GeneratedDeck, ctx: OracleContext) -> None:
 def check_staged_vs_monolith(deck: GeneratedDeck, ctx: OracleContext) -> None:
     pipeline = ctx.pipeline
     staged = pipeline.run(deck.text, mode=deck.mode)
-    monolith = pipeline._run_monolith(deck.text, mode=deck.mode)
+    monolith = run_monolith(pipeline, deck.text, mode=deck.mode)
     got = pipeline_result_fingerprint(staged)
     want = pipeline_result_fingerprint(monolith)
     if got != want:

@@ -226,6 +226,22 @@ class TestStagedFlags:
         assert "hierarchy" in out
         assert "constraints" in out
 
+    def test_stop_after_with_profile_writes_stage_profile(
+        self, tmp_path, deck_path, quick_model, capsys
+    ):
+        profile_path = tmp_path / "out.json"
+        code = main(
+            ["annotate", str(deck_path), "--task", "ota",
+             "--model", str(quick_model),
+             "--stop-after", "graph", "--profile", str(profile_path)]
+        )
+        assert code == 0
+        assert "stopped after stage 'graph'" in capsys.readouterr().out
+        profile = json.loads(profile_path.read_text())
+        # Parse seconds fold into "preprocess", as in result timings.
+        assert set(profile["stages"]) == {"preprocess", "graph"}
+        assert all(seconds >= 0.0 for seconds in profile["stages"].values())
+
     def test_artifact_cache_flag_populates_cache(
         self, tmp_path, deck_path, quick_model, capsys
     ):
@@ -247,6 +263,12 @@ class TestStagedFlags:
             ["annotate", str(deck_path), str(deck_path),
              "--stop-after", "graph"]
         )
+        assert code == 2
+        assert "single netlist" in capsys.readouterr().err
+
+    def test_hier_tree_rejects_batches(self, deck_path, capsys):
+        # run_many takes no hier_tree: the batch would drop the nesting.
+        code = main(["annotate", str(deck_path), str(deck_path), "--hier-tree"])
         assert code == 2
         assert "single netlist" in capsys.readouterr().err
 

@@ -242,6 +242,29 @@ class TestHierTreeMode:
         )
 
 
+class TestPredicateProfileMemo:
+    """The port-predicate memo reads the rail regexes, so every run
+    resets it together with the ``is_power_net`` memo: a vector
+    computed under other rail conventions must not outlive them."""
+
+    def test_run_drops_vectors_of_old_conventions(self, ota_pipeline, monkeypatch):
+        import re
+
+        from repro.core import hier_annotate
+        from repro.spice import netlist
+
+        # Predicates in sorted order: bias, ground, power, signal, supply.
+        as_supply = (False, False, True, False, True)
+        as_signal = (False, False, False, True, False)
+        hier_annotate._PRED_PROFILE_MEMO.pop("railx", None)
+        netlist.reset_power_net_memo()
+        monkeypatch.setattr(netlist, "SUPPLY_NET_RE", re.compile(r"^railx$", re.IGNORECASE))
+        assert hier_annotate._predicate_profile("railx") == as_supply
+        monkeypatch.undo()
+        ota_pipeline.run(OTA_ARRAY_DECK, hier=True)
+        assert hier_annotate._predicate_profile("railx") == as_signal
+
+
 def _mirror_cell_deck(n_instances: int, widths: tuple[int, ...], shared: bool):
     lines = [
         "* generated hierarchical deck",

@@ -2,9 +2,9 @@
 
 Golden equivalence: the staged ``run()`` must produce a semantically
 identical :class:`PipelineResult` to the legacy monolith
-(``_run_monolith``) on every example netlist.  Plus: artifact
-save/load round-trips, incremental recompute via the artifact cache,
-early stop, resume, and the canonical stage-name enum.
+(``repro.testing.reference.run_monolith``) on every example netlist.
+Plus: artifact save/load round-trips, incremental recompute via the
+artifact cache, early stop, resume, and the canonical stage-name enum.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.core.stages import (
 from repro.datasets.systems import phased_array, switched_cap_filter
 from repro.exceptions import ArtifactError
 from repro.runtime.cache import ArtifactCache
+from repro.testing.reference import run_monolith
 from tests.conftest import CURRENT_MIRROR_DECK, DIFF_OTA_DECK, HIERARCHICAL_DECK
 
 
@@ -81,32 +82,32 @@ def _assert_results_equivalent(got, want):
 
 
 class TestGoldenEquivalence:
-    """``run()`` (staged) ≡ ``_run_monolith()`` on every example."""
+    """``run()`` (staged) ≡ ``run_monolith()`` on every example."""
 
     @pytest.mark.parametrize("case", sorted(OTA_CASES))
     def test_ota_examples(self, ota_pipeline, case):
         netlist, kwargs = OTA_CASES[case]()
         staged = ota_pipeline.run(netlist, name=case, **kwargs)
-        legacy = ota_pipeline._run_monolith(netlist, name=case, **kwargs)
+        legacy = run_monolith(ota_pipeline, netlist, name=case, **kwargs)
         _assert_results_equivalent(staged, legacy)
 
     @pytest.mark.parametrize("case", sorted(RF_CASES))
     def test_rf_examples(self, rf_pipeline, case):
         netlist, kwargs = RF_CASES[case]()
         staged = rf_pipeline.run(netlist, name=case, **kwargs)
-        legacy = rf_pipeline._run_monolith(netlist, name=case, **kwargs)
+        legacy = run_monolith(rf_pipeline, netlist, name=case, **kwargs)
         _assert_results_equivalent(staged, legacy)
 
     def test_lenient_mode_equivalent(self, ota_pipeline):
         deck = DIFF_OTA_DECK + "\nq_bogus a b c npn\n.end\n"
         staged = ota_pipeline.run(deck, mode="lenient")
-        legacy = ota_pipeline._run_monolith(deck, mode="lenient")
+        legacy = run_monolith(ota_pipeline, deck, mode="lenient")
         _assert_results_equivalent(staged, legacy)
         assert staged.diagnostics  # the bogus card was reported, not fatal
 
     def test_profile_has_same_stages(self, ota_pipeline):
         staged = ota_pipeline.run(DIFF_OTA_DECK, profile=True)
-        legacy = ota_pipeline._run_monolith(DIFF_OTA_DECK, profile=True)
+        legacy = run_monolith(ota_pipeline, DIFF_OTA_DECK, profile=True)
         assert set(staged.profile["stages"]) == set(legacy.profile["stages"])
 
     def test_final_annotation_identity_preserved(self, ota_pipeline):
@@ -267,7 +268,7 @@ class TestIncrementalRecompute:
             StageName.GRAPH,
             StageName.GCN,
         }
-        fresh = changed._run_monolith(HIERARCHICAL_DECK)
+        fresh = run_monolith(changed, HIERARCHICAL_DECK)
         _assert_results_equivalent(changed.result_from_staged(warm), fresh)
 
     def test_deck_change_invalidates_everything(self, ota_pipeline, tmp_path):

@@ -97,6 +97,21 @@ class TestParallelMap:
         result = parallel_map(lambda x: x + 1, range(6), workers=2)
         assert result == [1, 2, 3, 4, 5, 6]
 
+    def test_unpicklable_fn_never_checks_out_a_pool(self, monkeypatch):
+        """An unpicklable ``fn`` goes straight to the serial path.
+
+        Submitting it to a pool fails every future, after which the
+        executor's manager thread could raise ``InvalidStateError`` in
+        the background (an unhandled-thread-exception warning).
+        """
+
+        def _forbidden(*args, **kwargs):
+            raise AssertionError("pool checked out for an unpicklable fn")
+
+        monkeypatch.setattr(parallel, "_checkout_pool", _forbidden)
+        result = parallel_map(lambda x: x * 3, range(4), workers=2)
+        assert result == [0, 3, 6, 9]
+
     def test_initializer_runs_in_serial_path(self):
         calls = []
         result = parallel_map(

@@ -109,6 +109,24 @@ class TestRunMany:
         serial = [pipeline.run(decks[0], name="only")]
         _assert_same_results(batch, serial)
 
+    def test_bad_mode_rejected_before_any_work(
+        self, pipeline, decks, monkeypatch
+    ):
+        """An invalid ``mode`` is a caller error, not a per-deck failure:
+        ``RunOptions`` rejects it before any deck runs or worker starts."""
+        import repro.core.pipeline as pipeline_module
+        import repro.runtime.parallel as parallel
+
+        def _forbidden(*args, **kwargs):
+            raise AssertionError("work started for an invalid mode")
+
+        monkeypatch.setattr(parallel, "parallel_map", _forbidden)
+        monkeypatch.setattr(pipeline_module, "_run_pipeline_chunk", _forbidden)
+        with pytest.raises(ValueError, match="bogus"):
+            pipeline.run_many(
+                decks, workers=2, mode="bogus", on_error="report"
+            )
+
 
 class _CountingAnnotator:
     """Delegates to a real annotator, counting the inference calls."""
@@ -145,22 +163,11 @@ class _ExplodingBatchAnnotator(_CountingAnnotator):
 
 
 def _jobs_for(decks, names):
+    from repro.core.pipeline import BatchJob
+    from repro.core.stages import RunOptions
+
     return [
-        {
-            "index": i,
-            "isolate": False,
-            "timeout": None,
-            "kwargs": {
-                "netlist": deck,
-                "net_roles": None,
-                "port_labels": None,
-                "name": name,
-                "infer_testbench": True,
-                "mode": "strict",
-                "profile": False,
-                "artifact_cache": None,
-            },
-        }
+        BatchJob(index=i, netlist=deck, options=RunOptions(name=name))
         for i, (deck, name) in enumerate(zip(decks, names))
     ]
 
