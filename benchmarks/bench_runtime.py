@@ -191,13 +191,29 @@ def bench_runtime_post1_matching(benchmark, pipelines):
 
     The indexed path (template profiles + signature candidate pruning +
     per-CCC scoping + symmetry breaking) must produce *identical*
-    results to the naive reference path and beat the pre-index
-    baseline by ≥5x; the per-template profile shows where the
-    remaining time goes.
+    results to the naive reference matcher
+    (``repro.testing.reference.naive_annotate_components``, swapped in
+    for ``annotate_components`` inside whole ``postprocess_ccc`` calls)
+    and beat the pre-index baseline by ≥5x; the per-template profile
+    shows where the remaining time goes.
     """
+    from contextlib import contextmanager
+
+    from repro.core import postprocess
     from repro.core.postprocess import postprocess_ccc
     from repro.graph.ccc import channel_connected_components
     from repro.runtime.profile import PipelineProfiler
+    from repro.testing.reference import naive_annotate_components
+
+    @contextmanager
+    def matching(naive: bool):
+        indexed_matcher = postprocess.annotate_components
+        if naive:
+            postprocess.annotate_components = naive_annotate_components
+        try:
+            yield
+        finally:
+            postprocess.annotate_components = indexed_matcher
 
     _ota_pipe, rf_pipe = pipelines
     system = phased_array()
@@ -207,16 +223,16 @@ def bench_runtime_post1_matching(benchmark, pipelines):
     annotation = run.gcn_annotation
     partition = channel_connected_components(annotation.graph)
 
-    naive = postprocess_ccc(
-        annotation, rf_pipe.library, partition=partition, indexed=False
-    )
+    with matching(naive=True):
+        naive = postprocess_ccc(
+            annotation, rf_pipe.library, partition=partition
+        )
     profiler = PipelineProfiler()
     indexed = postprocess_ccc(
         annotation,
         rf_pipe.library,
         partition=partition,
         profiler=profiler,
-        indexed=True,
     )
     # Bit-identical annotations, match lists included.
     assert (
@@ -225,25 +241,21 @@ def bench_runtime_post1_matching(benchmark, pipelines):
     assert naive.ccc_classes == indexed.ccc_classes
     assert naive.ccc_matches == indexed.ccc_matches
 
-    def best_of(indexed_flag, reps=5):
+    def best_of(naive, reps=5):
         best = float("inf")
-        for _ in range(reps):
-            start = time.perf_counter()
-            postprocess_ccc(
-                annotation,
-                rf_pipe.library,
-                partition=partition,
-                indexed=indexed_flag,
-            )
-            best = min(best, time.perf_counter() - start)
+        with matching(naive):
+            for _ in range(reps):
+                start = time.perf_counter()
+                postprocess_ccc(annotation, rf_pipe.library, partition=partition)
+                best = min(best, time.perf_counter() - start)
         return best
 
-    naive_seconds = best_of(False)
-    indexed_seconds = best_of(True)
+    naive_seconds = best_of(naive=True)
+    indexed_seconds = best_of(naive=False)
 
     benchmark.pedantic(
         lambda: postprocess_ccc(
-            annotation, rf_pipe.library, partition=partition, indexed=True
+            annotation, rf_pipe.library, partition=partition
         ),
         rounds=3,
         iterations=1,
@@ -357,14 +369,14 @@ def bench_runtime_gcn_batching(benchmark):
     """Block-diagonal packed minibatches vs the per-sample training loop.
 
     Trains the quick OTA spec from one seed at several batch sizes —
-    once with ``TrainConfig(batched=True)`` (one Chebyshev recurrence
-    and one tall GEMM per layer per minibatch) and once with the
-    per-sample reference loop.  :func:`measure` asserts curve parity on
-    every rep (same losses, same val-accuracy trajectory, same best
-    epoch), so the ratio is a pure throughput comparison at matched
-    accuracy.  The headline batch size must clear ≥2x epoch throughput;
-    the quick spec (batch 8, what CI re-measures via
-    ``check_batch_regression.py``) guards a 1.5x floor.
+    once with packed minibatches (one Chebyshev recurrence and one tall
+    GEMM per layer per minibatch) and once with the per-sample
+    reference loop (``repro.testing.reference.train_per_sample``).
+    :func:`measure` asserts curve parity on every rep (same losses, same
+    val-accuracy trajectory, same best epoch), so the ratio is a pure
+    throughput comparison at matched accuracy.  The headline batch size
+    must clear ≥2x epoch throughput; the quick spec (batch 8, what CI
+    re-measures via ``check_batch_regression.py``) guards a 1.5x floor.
     """
     from benchmarks.check_batch_regression import EPOCHS, measure
 

@@ -1,8 +1,9 @@
 """CI smoke check: batched GCN training must stay fast.
 
 Trains the quick OTA recognition spec twice from one seed — once with
-block-diagonal packed minibatches (``TrainConfig(batched=True)``, the
-default) and once with the per-sample reference loop — and fails when
+block-diagonal packed minibatches (``train``, the only production
+path) and once with the per-sample reference loop
+(``repro.testing.reference.train_per_sample``) — and fails when
 
 * the packed path is not ``--min-speedup`` (default 1.5x) faster than
   the per-sample loop, or
@@ -72,6 +73,7 @@ def measure(reps: int = 2, batch_size: int = BATCH_SIZE) -> dict:
     )
     from repro.gcn.model import GCNConfig, GCNModel
     from repro.gcn.train import TrainConfig, train
+    from repro.testing.reference import train_per_sample
 
     classes = task_classes("ota")
     dataset = generate_ota_bias_dataset(
@@ -89,25 +91,24 @@ def measure(reps: int = 2, batch_size: int = BATCH_SIZE) -> dict:
         seed=SEED,
     )
 
-    def run(batched: bool):
+    def run(train_fn):
         model = GCNModel(model_config)
         config = TrainConfig(
             epochs=EPOCHS,
             batch_size=batch_size,
             patience=0,
             seed=SEED,
-            batched=batched,
         )
         start = time.perf_counter()
-        history = train(model, train_samples, val_samples, config)
+        history = train_fn(model, train_samples, val_samples, config)
         return time.perf_counter() - start, history
 
     batched_seconds = per_sample_seconds = float("inf")
     batched_history = per_sample_history = None
     for _ in range(max(1, reps)):
-        seconds, batched_history = run(batched=True)
+        seconds, batched_history = run(train)
         batched_seconds = min(batched_seconds, seconds)
-        seconds, per_sample_history = run(batched=False)
+        seconds, per_sample_history = run(train_per_sample)
         per_sample_seconds = min(per_sample_seconds, seconds)
         # Numerical-equivalence gate: a speedup that changes the
         # training trajectory is a bug, not an optimization.

@@ -124,20 +124,8 @@ class GcnAnnotator:
         graph: CircuitGraph,
         net_roles: dict[str, NetRole] | None = None,
     ) -> Annotation:
-        """Classify every vertex of ``graph``."""
-        sample = GraphSample.from_graph(
-            graph,
-            labels={},
-            levels=self.model.config.levels_needed,
-            net_roles=net_roles,
-        )
-        probabilities = self.model.predict_proba(sample)
-        return Annotation(
-            graph=graph,
-            class_names=self.class_names,
-            vertex_classes=probabilities.argmax(axis=1).astype(np.int64),
-            probabilities=probabilities,
-        )
+        """Classify every vertex of ``graph`` (a packed batch of one)."""
+        return self.annotate_batch([graph], [net_roles])[0]
 
     def annotate_batch(
         self,
@@ -146,10 +134,9 @@ class GcnAnnotator:
     ) -> list[Annotation]:
         """Classify every vertex of several graphs in one packed pass.
 
-        Builds the same per-graph samples :meth:`annotate` would, then
-        runs a single block-diagonal forward
-        (:meth:`GCNModel.predict_proba_batch`) instead of one forward
-        per graph.
+        Builds one sample per graph, then runs a single block-diagonal
+        forward (:meth:`GCNModel.predict_proba_batch`) instead of one
+        forward per graph.
         """
         if net_roles_list is None:
             net_roles_list = [None] * len(graphs)

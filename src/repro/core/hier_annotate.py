@@ -608,10 +608,18 @@ class HierMatchCache:
 # ---------------------------------------------------------------------------
 
 #: (annotator fp, definition fp, multiplier) → summary.  Content-keyed,
-#: so it is safe to share process-wide; definitions are few, so the
-#: memo stays tiny.  Repeat runs in one process (fleets, benchmarks)
-#: skip the per-definition forward without needing a disk cache.
+#: so it is safe to share process-wide and is never reset per run:
+#: repeat runs in one process (fleets, benchmarks) skip the
+#: per-definition forward without needing a disk cache.  Cleared when
+#: full, so a long-lived process over many decks stays bounded.
 _DEF_ANN_MEMO: dict[tuple[str, str, float], DefinitionAnnotation] = {}
+_DEF_ANN_MEMO_MAX = 1024
+
+
+def _remember_definition(key: tuple[str, str, float], summary: DefinitionAnnotation) -> None:
+    if len(_DEF_ANN_MEMO) >= _DEF_ANN_MEMO_MAX:
+        _DEF_ANN_MEMO.clear()
+    _DEF_ANN_MEMO[key] = summary
 
 
 def annotate_definitions(
@@ -681,7 +689,7 @@ def annotate_definitions(
                 summary = rescoped(stored, paths)
                 summaries[index] = summary
                 if index in memo_keys:
-                    _DEF_ANN_MEMO[memo_keys[index]] = summary
+                    _remember_definition(memo_keys[index], summary)
                 continue
         pending.append(index)
 
@@ -711,7 +719,7 @@ def annotate_definitions(
             )
             summaries[index] = summary
             if index in memo_keys:
-                _DEF_ANN_MEMO[memo_keys[index]] = summary
+                _remember_definition(memo_keys[index], summary)
             if cache is not None:
                 cache.store(keys[index], summary)
     return tuple(summaries[i] for i in range(len(items)) if i in summaries)

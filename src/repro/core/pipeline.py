@@ -797,9 +797,10 @@ class GcnStage:
         if upstream_fp is None:
             return None
         if ctx.gcn_annotation is not None:
-            # A precomputed annotation came from a packed forward whose
-            # logits can differ from the per-sample path by fp64
-            # rounding; keep it out of the content-addressed store.
+            # A precomputed annotation came from a multi-graph packed
+            # forward whose logits can differ from this deck's batch of
+            # one by fp64 rounding; keep it out of the content-addressed
+            # store.
             return None
         if pipeline.fallback_recognizer is not None and pipeline.degrade:
             # An injected fallback has no stable fingerprint; a cached

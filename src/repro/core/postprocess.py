@@ -369,7 +369,6 @@ def postprocess_ccc(
     mirror_vote: bool = True,
     absorb_orphans: bool = True,
     profiler: "PipelineProfiler | None" = None,
-    indexed: bool = True,
     match_cache=None,
 ) -> PostprocessResult:
     """Postprocessing I: CCC vote, primitive annotation, stand-alone
@@ -380,13 +379,10 @@ def postprocess_ccc(
     are separated only when the annotation uses the RF vocabulary.
     ``mirror_vote`` and ``absorb_orphans`` toggle the two vote-repair
     heuristics (exposed for the ablation benchmark).  ``profiler``
-    collects per-template matching statistics; ``indexed=False``
-    selects the naive reference matcher (see
-    :mod:`repro.primitives.matcher`) — the annotation is identical
-    either way.  ``match_cache`` (a
+    collects per-template matching statistics.  ``match_cache`` (a
     :class:`repro.core.stages.PrimitiveMatchCache`) reuses per-CCC,
-    per-template VF2 results across runs — the annotation is, again,
-    identical with or without it.
+    per-template VF2 results across runs — the annotation is identical
+    with or without it.
     """
     annotation = annotation.copy()
     graph = annotation.graph
@@ -409,7 +405,6 @@ def postprocess_ccc(
         partition,
         library,
         profiler=profiler,
-        indexed=indexed,
         match_cache=match_cache,
     )
     ds_drivers = (

@@ -40,7 +40,6 @@ from repro.gcn.layers import (
 )
 from repro.gcn.loss import (
     batched_cross_entropy,
-    cross_entropy,
     l2_penalty,
     softmax,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "class_weights",
     "coarsen_adjacency",
     "confusion_matrix",
-    "cross_entropy",
     "cross_validate",
     "dataset_embeddings",
     "fisher_separation",

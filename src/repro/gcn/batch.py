@@ -15,7 +15,10 @@ single tall GEMM instead of B short ones.  Cluster assignments are
 concatenated with per-sample *coarse* offsets so pooling/unpooling stay
 within their own block.
 
-Numerical equivalence to the per-sample path: every graph-structured
+This is the only GCN path: a single sample runs as a batch of one, a
+zero-copy view of the sample (see :func:`pack_samples`).
+
+Numerical equivalence to one-sample batches: every graph-structured
 operation is *bitwise* identical — CSR matmul is row-by-row (a block's
 rows only touch that block's columns, in the same nnz order), pooling
 and unpooling are cluster-local, and BatchNorm/Dropout consult
@@ -41,8 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ModelConfigError
-from repro.gcn.chebyshev import chebyshev_basis
-from repro.gcn.layers import SampleContext
+from repro.gcn.layers import SampleContext, cached_flat_basis, flat_basis
 from repro.gcn.samples import GraphSample
 
 
@@ -124,10 +126,6 @@ class PackedBatch:
     def n_vertices(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def name(self) -> str:
-        return "+".join(sample.name for sample in self.samples)
-
     def context(self) -> SampleContext:
         """Fresh per-forward context carrying the segment offsets."""
         return SampleContext(
@@ -160,71 +158,50 @@ class PackedBatch:
         Both routes produce bitwise-identical packed flats.
         """
         lap0 = self.pyramid.laplacians[0]
-        packed = self.runtime_cache.get("cheb-input-flat")
-        if (
-            packed is not None
-            and packed[0] is self.features
-            and packed[1] is lap0
-            and packed[2] == order
-        ):
+        if cached_flat_basis(self.runtime_cache, self.features, lap0, order) is not None:
             return
-
-        def _cached_flat(sample: GraphSample) -> np.ndarray | None:
-            entry = sample.runtime_cache.get("cheb-input-flat")
-            if (
-                entry is not None
-                and entry[0] is sample.features
-                and entry[1] is sample.pyramid.laplacians[0]
-                and entry[2] == order
-            ):
-                return entry[3]
-            return None
-
-        n_features = self.features.shape[1]
-        per_sample = [_cached_flat(sample) for sample in self.samples]
-        if all(flat is None for flat in per_sample):
-            basis = chebyshev_basis(lap0, self.features, order)
-            flat = basis.transpose(1, 0, 2).reshape(
-                self.n_vertices, order * n_features
-            )
+        own = [
+            (s.runtime_cache, s.features, s.pyramid.laplacians[0])
+            for s in self.samples
+        ]
+        if all(cached_flat_basis(*args, order) is None for args in own):
+            flat = flat_basis(lap0, self.features, order, self.runtime_cache)
             bounds = self.offsets[0]
-            for i, sample in enumerate(self.samples):
-                sample.runtime_cache["cheb-input-flat"] = (
-                    sample.features,
-                    sample.pyramid.laplacians[0],
-                    order,
-                    flat[bounds[i] : bounds[i + 1]],
+            for i, (cache, features, lap) in enumerate(own):
+                cache["cheb-input-flat"] = (
+                    features, lap, order, flat[bounds[i] : bounds[i + 1]],
                 )
         else:
-            for i, sample in enumerate(self.samples):
-                if per_sample[i] is None:
-                    basis = chebyshev_basis(
-                        sample.pyramid.laplacians[0], sample.features, order
-                    )
-                    per_sample[i] = basis.transpose(1, 0, 2).reshape(
-                        sample.n_vertices, order * n_features
-                    )
-                    sample.runtime_cache["cheb-input-flat"] = (
-                        sample.features,
-                        sample.pyramid.laplacians[0],
-                        order,
-                        per_sample[i],
-                    )
-            flat = np.vstack(per_sample)
-        self.runtime_cache["cheb-input-flat"] = (
-            self.features, lap0, order, flat,
-        )
+            flat = np.vstack(
+                [flat_basis(lap, x, order, cache) for cache, x, lap in own]
+            )
+            self.runtime_cache["cheb-input-flat"] = (
+                self.features, lap0, order, flat,
+            )
 
 
 def pack_samples(samples: list[GraphSample]) -> PackedBatch:
     """Pack B samples into one block-diagonal :class:`PackedBatch`.
 
     Packs the deepest pyramid prefix *every* sample carries; a model
-    needing more levels fails with the same :class:`ModelConfigError`
-    the per-sample path raises.
+    needing more levels fails with :class:`ModelConfigError`.
+
+    A batch of one is a zero-copy view: it shares the sample's
+    features, labels, mask, Laplacian and assignment lists and
+    ``runtime_cache`` (the very same objects), so the first-layer
+    Chebyshev basis and the pool-member memos stay per-sample.
     """
     if not samples:
         raise ModelConfigError("cannot pack an empty sample batch")
+    if len(samples) == 1:
+        (s,) = samples
+        laps = s.pyramid.laplacians
+        return PackedBatch(
+            [s], s.features, s.labels, s.mask,
+            PackedPyramid(laps, s.pyramid.assignments),
+            [np.array([0, lap.shape[0]], dtype=np.int64) for lap in laps],
+            runtime_cache=s.runtime_cache,
+        )
     levels = min(len(s.pyramid.assignments) for s in samples)
 
     offsets: list[np.ndarray] = []

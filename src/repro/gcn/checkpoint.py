@@ -184,7 +184,8 @@ class CheckpointStore:
         still a miss.
         """
         try:
-            with np.load(path) as data:
+            # Own the handle: np.load leaks it if a truncated zip raises.
+            with open(path, "rb") as fh, np.load(fh) as data:
                 meta = json.loads(str(data["__meta__"]))
                 version = meta.get("format_version")
                 if version != CHECKPOINT_FORMAT_VERSION:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.gcn.batch import pack_samples
 from repro.gcn.layers import Dense
 from repro.gcn.model import GCNModel
 from repro.gcn.samples import GraphSample
@@ -31,8 +32,9 @@ def vertex_embeddings(model: GCNModel, sample: GraphSample) -> np.ndarray:
             break
     if final_dense is None:
         raise ValueError("model has no Dense classifier layer")
-    ctx = sample.context()
-    x = sample.features
+    batch = pack_samples([sample])
+    ctx = batch.context()
+    x = batch.features
     for layer in model.layers:
         if layer is final_dense:
             return x

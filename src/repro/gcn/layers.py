@@ -11,8 +11,8 @@ its own reverse-mode gradient.  The contract:
 
 Layers are stateful across a single forward/backward pair (they cache
 what backward needs); the :class:`~repro.gcn.model.GCNModel` drives
-them strictly in that order, one sample at a time, accumulating
-gradients over a minibatch before the optimizer steps.
+them strictly in that order, one packed batch (``gcn/batch.py``) at a
+time.
 """
 
 from __future__ import annotations
@@ -135,32 +135,8 @@ class ChebConv(Layer):
 
     def forward(self, x, ctx, training):
         laplacian = ctx.laplacian
-        flat = None
-        use_cache = ctx.cache is not None and self.input_layer
-        if use_cache:
-            entry = ctx.cache.get("cheb-input-flat")
-            # Identity check: a hit requires the very same input and
-            # Laplacian array objects (the cache holds strong
-            # references, so their ids cannot be recycled) at the same
-            # order.  Weight updates never invalidate the basis — it
-            # depends only on the Laplacian and the input — so the
-            # entry stays valid for the sample's whole lifetime, and
-            # any model with the same filter order shares it.
-            if (
-                entry is not None
-                and entry[0] is x
-                and entry[1] is laplacian
-                and entry[2] == self.order
-            ):
-                flat = entry[3]
-        if flat is None:
-            basis = chebyshev_basis(laplacian, x, self.order)  # (K, n, Fin)
-            n = x.shape[0]
-            flat = basis.transpose(1, 0, 2).reshape(
-                n, self.order * self.in_features
-            )
-            if use_cache:
-                ctx.cache["cheb-input-flat"] = (x, laplacian, self.order, flat)
+        cache = ctx.cache if self.input_layer else None
+        flat = flat_basis(laplacian, x, self.order, cache)
         self._flat = flat
         self._laplacian = laplacian
         return flat @ self.params["weight"] + self.params["bias"]
@@ -177,6 +153,40 @@ class ChebConv(Layer):
             1, 0, 2
         )
         return chebyshev_basis_backward(self._laplacian, grad_basis)
+
+
+def cached_flat_basis(cache, x, laplacian, order) -> np.ndarray | None:
+    """The memoized :func:`flat_basis` of ``x`` in ``cache``, or None.
+
+    Identity check: a hit requires the very same input and Laplacian
+    array objects (the cache holds strong references, so their ids
+    cannot be recycled) at the same order.  Weight updates never
+    invalidate the basis — it depends only on the Laplacian and the
+    input — so the entry stays valid for the sample's whole lifetime,
+    and any model with the same filter order shares it.
+    """
+    entry = cache.get("cheb-input-flat")
+    if (
+        entry is not None
+        and entry[0] is x
+        and entry[1] is laplacian
+        and entry[2] == order
+    ):
+        return entry[3]
+    return None
+
+
+def flat_basis(laplacian, x, order, cache=None) -> np.ndarray:
+    """(n, K·Fin) Chebyshev basis of ``x``, memoized in ``cache``."""
+    if cache is not None:
+        flat = cached_flat_basis(cache, x, laplacian, order)
+        if flat is not None:
+            return flat
+    basis = chebyshev_basis(laplacian, x, order)  # (K, n, Fin)
+    flat = basis.transpose(1, 0, 2).reshape(x.shape[0], order * x.shape[1])
+    if cache is not None:
+        cache["cheb-input-flat"] = (x, laplacian, order, flat)
+    return flat
 
 
 class Dense(Layer):

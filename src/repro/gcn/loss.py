@@ -10,61 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 
-_ZERO_START = np.zeros(1, dtype=np.int64)
-
-
-def _sequential_sum(values: np.ndarray) -> float:
-    """Sum with plain sequential accumulation (``np.add.reduceat``).
-
-    Segment-stable: summing a segment inside a packed array gives the
-    same bits as summing it alone, which is how the packed loss can
-    reproduce per-sample losses exactly.  (``ndarray.sum`` uses pairwise
-    accumulation, which has no ragged-segment equivalent.)
-    """
-    if values.size == 0:
-        return 0.0
-    return float(np.add.reduceat(values, _ZERO_START)[0])
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise numerically-stable softmax."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
-
-
-def cross_entropy(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    mask: np.ndarray | None = None,
-    class_weights: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Mean masked cross-entropy and its gradient w.r.t. ``logits``.
-
-    ``labels`` are integer class ids per vertex; ``mask`` selects the
-    vertices that contribute.  Returns ``(loss, grad)`` where ``grad``
-    has the full (n, C) shape with zeros at masked-out rows.
-    """
-    n, n_classes = logits.shape
-    if mask is None:
-        mask = np.ones(n, dtype=bool)
-    count = int(mask.sum())
-    grad = np.zeros_like(logits)
-    if count == 0:
-        return 0.0, grad
-
-    probs = softmax(logits)
-    picked = probs[np.arange(n), labels]
-    weights = np.ones(n)
-    if class_weights is not None:
-        weights = class_weights[labels]
-    log_losses = -np.log(np.clip(picked, 1e-12, None)) * weights
-    loss = float(_sequential_sum(log_losses[mask]) / count)
-
-    grad[mask] = probs[mask]
-    grad[np.arange(n)[mask], labels[mask]] -= 1.0
-    grad[mask] *= weights[mask, None] / count
-    return loss, grad
 
 
 def batched_cross_entropy(
@@ -81,12 +31,15 @@ def batched_cross_entropy(
     graph boundaries.  Returns ``(losses, counts, grad)`` where
     ``losses[i]`` and ``counts[i]`` are graph ``i``'s mean masked loss
     and masked-vertex count, and ``grad`` is the packed gradient with
-    each graph's rows normalized by *its own* count — exactly what the
-    per-sample loop produces, one :func:`cross_entropy` call per graph.
+    each graph's rows normalized by *its own* count.  A batch of one is
+    the mean masked cross-entropy of one graph.
 
-    Gradient rows are bitwise identical to the per-sample path (the
-    elementwise operation order is preserved); the per-graph loss sums
-    reduce over the same masked row subsets, so they match bitwise too.
+    Per graph, the result is bitwise what the graph alone produces (and
+    what :func:`repro.testing.reference.cross_entropy` computes): the
+    elementwise operation order is preserved, and the loss sums use
+    ``np.add.reduceat``'s sequential accumulation, which is
+    segment-stable — a segment sums to the same bits alone or inside a
+    packed array.
     """
     n, _ = logits.shape
     n_graphs = len(offsets) - 1
@@ -105,8 +58,8 @@ def batched_cross_entropy(
     log_losses = -np.log(np.clip(picked, 1e-12, None)) * weights
     # Per-graph means over the mask-compressed array: graph i owns the
     # compressed rows running[offsets[i]]:running[offsets[i+1]], and
-    # reduceat's sequential accumulation matches ``_sequential_sum`` on
-    # each graph's own masked rows bitwise.  (reduceat quirk: an empty
+    # reduceat's sequential accumulation gives the same bits as summing
+    # each graph's own masked rows alone.  (reduceat quirk: an empty
     # segment yields the element at its clipped start index — those
     # entries are zeroed by the ``counts > 0`` select.)
     compressed = log_losses[mask]
@@ -115,7 +68,7 @@ def batched_cross_entropy(
     losses = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
 
     # Row scale: mask·weight/count_of_owning_graph, matching the
-    # per-sample ``grad[mask] *= weights[mask] / count`` op order.
+    # one-graph ``grad[mask] *= weights[mask] / count`` op order.
     graph_of = np.repeat(np.arange(n_graphs), np.diff(offsets))
     denom = np.maximum(counts, 1)[graph_of]
     grad[mask] = probs[mask]

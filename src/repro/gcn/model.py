@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.exceptions import ModelConfigError
+from repro.gcn.batch import pack_samples
 from repro.gcn.layers import (
     BatchNorm,
     ChebConv,
@@ -149,21 +150,16 @@ class GCNModel:
             )
 
     def forward(self, sample: GraphSample, training: bool) -> np.ndarray:
-        """Per-vertex logits of shape (n_vertices, n_classes)."""
-        self._check_levels(sample)
-        ctx = sample.context()
-        x = sample.features
-        for layer in self.layers:
-            x = layer.forward(x, ctx, training)
-        return x
+        """Per-vertex logits of one sample (a packed batch of one)."""
+        return self.forward_packed(pack_samples([sample]), training)
 
     def forward_packed(self, batch, training: bool) -> np.ndarray:
         """Packed-batch logits of shape (Σn_i, n_classes).
 
         One Chebyshev recurrence and one GEMM per layer serve all of
-        ``batch``'s graphs; the result rows match the per-sample
-        :meth:`forward` outputs to fp64 rounding (see ``gcn/batch.py``
-        for the exact-vs-ulp breakdown).
+        ``batch``'s graphs; the result rows match one-sample batches to
+        fp64 rounding (see ``gcn/batch.py`` for the exact-vs-ulp
+        breakdown).
         """
         for sample in batch.samples:
             self._check_levels(sample)
@@ -184,23 +180,19 @@ class GCNModel:
 
     def predict_proba(self, sample: GraphSample) -> np.ndarray:
         """Per-vertex class probabilities (inference mode)."""
-        return softmax(self.forward(sample, training=False))
+        return self.predict_proba_batch([sample])[0]
 
     def predict(self, sample: GraphSample) -> np.ndarray:
         """Per-vertex argmax class ids."""
-        return self.forward(sample, training=False).argmax(axis=1)
+        return self.predict_batch([sample])[0]
 
     def predict_proba_batch(
         self, samples: list[GraphSample]
     ) -> list[np.ndarray]:
         """Per-vertex class probabilities for each sample, computed in
-        one packed forward pass (per-sample values to fp64 rounding)."""
+        one packed forward pass."""
         if not samples:
             return []
-        if len(samples) == 1:
-            return [self.predict_proba(samples[0])]
-        from repro.gcn.batch import pack_samples
-
         batch = pack_samples(samples)
         logits = self.forward_packed(batch, training=False)
         return batch.split(softmax(logits))
@@ -209,10 +201,6 @@ class GCNModel:
         """Per-vertex argmax class ids for each sample (one packed pass)."""
         if not samples:
             return []
-        if len(samples) == 1:
-            return [self.predict(samples[0])]
-        from repro.gcn.batch import pack_samples
-
         batch = pack_samples(samples)
         logits = self.forward_packed(batch, training=False)
         return [seg.argmax(axis=1) for seg in batch.split(logits)]
@@ -290,7 +278,7 @@ class GCNModel:
         explicitly overridden (legacy files without one need it)."""
         import json
 
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             state = {k: data[k] for k in data.files if k != "__config__"}
             if config is None:
                 if "__config__" not in data.files:

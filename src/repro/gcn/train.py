@@ -1,8 +1,11 @@
 """Training loop for the recognition GCN.
 
 Graphs have varying vertex counts, so a "minibatch" is a set of whole
-graphs: gradients are accumulated sample-by-sample, scaled by the batch
-size, and applied in one optimizer step.  Early stopping keeps the
+graphs, packed block-diagonally (``gcn/batch.py``) into one forward and
+one backward pass; the gradient is scaled by the batch size and applied
+in one optimizer step.  A tail minibatch of one packs too (a zero-copy
+view); :func:`repro.testing.reference.run_epoch_per_sample` is the
+per-sample reference loop.  Early stopping keeps the
 best-validation-accuracy parameters.
 
 Fault tolerance (see DESIGN.md §12): the epoch loop snapshots its full
@@ -34,7 +37,7 @@ import numpy as np
 from repro.exceptions import ModelConfigError, TrainingDiverged
 from repro.gcn.batch import pack_samples
 from repro.gcn.checkpoint import CheckpointStore, TrainCheckpoint
-from repro.gcn.loss import batched_cross_entropy, cross_entropy
+from repro.gcn.loss import batched_cross_entropy
 from repro.gcn.metrics import confusion_matrix
 from repro.gcn.model import GCNConfig, GCNModel
 from repro.gcn.optim import Adam, Optimizer, SGD
@@ -60,10 +63,6 @@ class TrainConfig:
     balance_classes: bool = True
     seed: int = 0
     verbose: bool = False
-    #: Pack each minibatch into one block-diagonal forward/backward
-    #: (see ``gcn/batch.py``).  Numerically equivalent to the
-    #: per-sample loop; ``False`` forces the reference path.
-    batched: bool = True
 
 
 @dataclass(frozen=True)
@@ -145,17 +144,17 @@ def _make_optimizer(model: GCNModel, config: TrainConfig) -> Optimizer:
 _EVAL_CHUNK = 32
 
 
-def evaluate(model: GCNModel, samples: list[GraphSample]) -> float:
-    """Vertex accuracy over a sample list (masked vertices excluded).
-
-    Runs packed inference in chunks; per-graph predictions match
-    per-sample :meth:`GCNModel.predict` calls.
-    """
-    packs = [
+def _eval_packs(samples: list[GraphSample]) -> list:
+    """``samples`` packed in evaluation-sized chunks."""
+    return [
         pack_samples(samples[start : start + _EVAL_CHUNK])
         for start in range(0, len(samples), _EVAL_CHUNK)
     ]
-    return _evaluate_packed(model, packs)
+
+
+def evaluate(model: GCNModel, samples: list[GraphSample]) -> float:
+    """Vertex accuracy over a sample list (masked vertices excluded)."""
+    return _evaluate_packed(model, _eval_packs(samples))
 
 
 def _evaluate_packed(model: GCNModel, packs: list) -> float:
@@ -180,10 +179,10 @@ def evaluate_confusion(
 ) -> np.ndarray:
     """Pooled confusion matrix over a sample list."""
     matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for sample in samples:
-        predictions = model.predict(sample)
+    for packed in _eval_packs(samples):
+        predictions = model.forward_packed(packed, training=False).argmax(axis=1)
         matrix += confusion_matrix(
-            predictions, sample.labels, n_classes, sample.mask
+            predictions, packed.labels, n_classes, packed.mask
         )
     return matrix
 
@@ -227,53 +226,54 @@ def _run_epoch(
     for batch_start in range(0, len(order), config.batch_size):
         batch = order[batch_start : batch_start + config.batch_size]
         model.zero_grad()
-        batch_loss = 0.0
-        if config.batched and len(batch) > 1:
-            # Block-diagonal packing: one forward/backward serves
-            # the whole minibatch.  Repacked per batch, so the
-            # shuffled composition is respected every epoch.
-            packed = pack_samples([train_samples[i] for i in batch])
-            logits = model.forward_packed(packed, training=True)
-            losses, counts, grad = batched_cross_entropy(
-                logits, packed.labels, packed.mask,
-                packed.offsets[0], weights,
-            )
-            model.backward(grad / len(batch))
-            batch_loss = float(losses @ counts)
-            predictions = logits.argmax(axis=1)
-            epoch_correct += int(
-                ((predictions == packed.labels) & packed.mask).sum()
-            )
-            epoch_total += int(counts.sum())
-        else:
-            for sample_idx in batch:
-                sample = train_samples[sample_idx]
-                logits = model.forward(sample, training=True)
-                loss, grad = cross_entropy(
-                    logits, sample.labels, sample.mask, weights
-                )
-                model.backward(grad / len(batch))
-                batch_loss += loss * int(sample.mask.sum())
-                predictions = logits.argmax(axis=1)
-                epoch_correct += int(
-                    (predictions[sample.mask] == sample.labels[sample.mask]).sum()
-                )
-                epoch_total += int(sample.mask.sum())
-        step = batch_start // config.batch_size
-        if not np.isfinite(batch_loss):
-            raise _DivergenceError(
-                f"non-finite loss ({batch_loss!r}) in minibatch {step}"
-            )
-        if grad_limit is not None:
-            norm = _grad_norm(optimizer.slots)
-            if not np.isfinite(norm) or norm > grad_limit:
-                raise _DivergenceError(
-                    f"gradient norm {norm:.4g} breaches the {grad_limit:g} "
-                    f"limit in minibatch {step}"
-                )
-        optimizer.step()
+        # One forward/backward serves the whole minibatch.  Repacked
+        # per batch, so the shuffled composition is respected every
+        # epoch.
+        packed = pack_samples([train_samples[i] for i in batch])
+        logits = model.forward_packed(packed, training=True)
+        losses, counts, grad = batched_cross_entropy(
+            logits, packed.labels, packed.mask,
+            packed.offsets[0], weights,
+        )
+        model.backward(grad / len(batch))
+        batch_loss = float(losses @ counts)
+        predictions = logits.argmax(axis=1)
+        epoch_correct += int(
+            ((predictions == packed.labels) & packed.mask).sum()
+        )
+        epoch_total += int(counts.sum())
+        _guarded_step(
+            optimizer, batch_loss, batch_start // config.batch_size,
+            grad_limit,
+        )
         epoch_loss += batch_loss
     return epoch_loss, epoch_correct, epoch_total
+
+
+def _guarded_step(
+    optimizer: Optimizer,
+    batch_loss: float,
+    step: int,
+    grad_limit: float | None,
+) -> None:
+    """Apply one optimizer step unless minibatch ``step`` diverged.
+
+    Raises :class:`_DivergenceError` on a non-finite loss or an
+    out-of-bounds gradient norm *before* stepping, so the last good
+    parameters survive for rollback.
+    """
+    if not np.isfinite(batch_loss):
+        raise _DivergenceError(
+            f"non-finite loss ({batch_loss!r}) in minibatch {step}"
+        )
+    if grad_limit is not None:
+        norm = _grad_norm(optimizer.slots)
+        if not np.isfinite(norm) or norm > grad_limit:
+            raise _DivergenceError(
+                f"gradient norm {norm:.4g} breaches the {grad_limit:g} "
+                f"limit in minibatch {step}"
+            )
+    optimizer.step()
 
 
 def _capture(
@@ -370,14 +370,7 @@ def train(
     epochs_since_best = 0
     retries_left = max(0, fault.max_divergence_retries)
     # Validation chunks are packed once and reused every epoch.
-    val_packs = (
-        [
-            pack_samples(val_samples[i : i + _EVAL_CHUNK])
-            for i in range(0, len(val_samples), _EVAL_CHUNK)
-        ]
-        if val_samples is not None
-        else []
-    )
+    val_packs = _eval_packs(val_samples) if val_samples is not None else []
 
     store = (
         CheckpointStore(fault.checkpoint_dir, keep=fault.keep)

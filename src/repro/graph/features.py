@@ -134,21 +134,6 @@ def infer_net_role(
     return NetRole.INTERNAL
 
 
-def _edge_pattern_feature(graph: CircuitGraph, element: int) -> float:
-    """Scalar encoding of the incident 3-bit edge labels (Sec. II-C).
-
-    Distinguishes plain devices (three distinct single-bit edges,
-    value ≈ 0.33) from diode-connected (a combined gate+drain edge) and
-    other merged-terminal shapes.  The encoding sums the label values of
-    incident edges and normalizes by the maximum possible (7).
-    """
-    labels = [e.label for e in graph.edges if e.element == element]
-    if not labels:
-        return 0.0
-    merged = max(labels)  # a combined-terminal edge dominates
-    return merged / 7.0
-
-
 def feature_matrix(
     graph: CircuitGraph,
     net_roles: dict[str, NetRole] | None = None,

@@ -7,16 +7,14 @@ automorphic duplicates (a differential pair matches twice under its own
 symmetry), and resolves overlaps largest-template-first so that, e.g.,
 a cascode current mirror is not also reported as two simple mirrors.
 
-Two execution paths produce identical results (the property tests in
-``tests/primitives/test_index.py`` assert exact equality):
-
-* **indexed** (default) — per-template profiles and a shared per-target
-  context (:mod:`repro.primitives.index`) amortize matcher setup, a
-  kind-histogram test rejects impossible (template, target) pairs
-  before any VF2 launch, and symmetry breaking skips automorphic
-  duplicate branches;
-* **naive** (``indexed=False``) — the original per-call construction,
-  kept as the reference implementation and performance baseline.
+The hot path uses per-template profiles and a shared per-target
+context (:mod:`repro.primitives.index`) to amortize matcher setup, a
+kind-histogram test that rejects impossible (template, target) pairs
+before any VF2 launch, and symmetry breaking that skips automorphic
+duplicate branches.  The naive matcher (per-call setup, no kind
+rejection, no symmetry breaking) is a reference in
+:mod:`repro.testing.reference`; the property tests in
+``tests/primitives/test_index.py`` assert exact equality.
 
 :func:`annotate_components` scopes matching per channel-connected
 component: one shared context per CCC-induced subgraph, with the
@@ -59,10 +57,6 @@ class PrimitiveMatch:
     def elements(self) -> frozenset[str]:
         """Target device names claimed by this match."""
         return frozenset(name for _, name in self.element_map)
-
-    @property
-    def element_dict(self) -> dict[str, str]:
-        return dict(self.element_map)
 
     @property
     def net_dict(self) -> dict[str, str]:
@@ -131,77 +125,74 @@ def _match_from_isomorphism(
     )
 
 
+def _translate(
+    profile: "TemplateProfile",
+    target: CircuitGraph,
+    isos: list[Isomorphism],
+) -> list[PrimitiveMatch]:
+    """Named, predicate-filtered, deduplicated matches in canonical order."""
+    matches: list[PrimitiveMatch] = []
+    seen: set[frozenset[str]] = set()
+    for iso in isos:
+        match = _match_from_isomorphism(profile, target, iso)
+        if match is None:
+            continue
+        key = match.elements
+        if key in seen:
+            continue  # automorphic duplicate (e.g. DP arm swap)
+        seen.add(key)
+        matches.append(match)
+    # Canonical order: the search enumerates candidate pools (hash
+    # sets) in an order that depends on how they were built, and
+    # downstream overlap resolution claims devices in match order —
+    # sort so every matcher hands identical lists to the claimer.
+    matches.sort(key=lambda m: (m.element_map, m.net_map))
+    return matches
+
+
+def collect_matches(
+    matcher: VF2Matcher,
+    profile: "TemplateProfile",
+    target: CircuitGraph,
+    budget: Budget | None = None,
+) -> list[PrimitiveMatch]:
+    """Run ``matcher`` to completion and translate what it finds.
+
+    On budget exhaustion the raised
+    :class:`~repro.exceptions.BudgetExceeded` carries the matches
+    translated so far as ``exc.partial``.
+    """
+    try:
+        isos = matcher.find_all(budget=budget)
+    except BudgetExceeded as exc:
+        exc.partial = _translate(profile, target, exc.partial or [])
+        raise
+    return _translate(profile, target, isos)
+
+
 def find_primitive_matches(
     template: PrimitiveTemplate,
     target: CircuitGraph,
-    target_index=None,
     budget: Budget | None = None,
     *,
     profile: "TemplateProfile | None" = None,
     context: "TargetContext | None" = None,
-    indexed: bool = True,
 ) -> list[PrimitiveMatch]:
     """All predicate-respecting, deduplicated matches of one template.
 
-    ``target_index`` (a :class:`repro.primitives.signatures.TargetIndex`)
-    shares the signature tables across templates of one circuit.
-    ``budget`` bounds the underlying VF2 search; on exhaustion the
-    raised :class:`~repro.exceptions.BudgetExceeded` carries the
-    deduplicated matches translated so far as ``exc.partial``.
-
-    ``indexed`` selects the hot path: the template's memoized
+    Uses the template's memoized
     :func:`~repro.primitives.index.template_profile` (or an explicit
     ``profile``) plus an optional shared ``context`` for the target,
-    with symmetry breaking on.  ``indexed=False`` is the naive
-    reference path — per-call setup, enumerate-all-then-deduplicate —
-    guaranteed to return the same matches.
+    with symmetry breaking on.  ``budget`` bounds the underlying VF2
+    search (see :func:`collect_matches`).
     """
     from repro.primitives.index import template_profile
 
-    # The profile also carries the automorphism group used to
-    # canonicalize matches, so both paths resolve it (memoized).
     profile = profile or template_profile(template)
-    if indexed:
-        matcher = VF2Matcher(
-            template.pattern,
-            target,
-            target_index=target_index,
-            profile=profile,
-            target_context=context,
-        )
-    else:
-        matcher = VF2Matcher(
-            template.pattern,
-            target,
-            target_index=target_index,
-            symmetry_break=False,
-        )
-
-    def translate(isos: list[Isomorphism]) -> list[PrimitiveMatch]:
-        matches: list[PrimitiveMatch] = []
-        seen: set[frozenset[str]] = set()
-        for iso in isos:
-            match = _match_from_isomorphism(profile, target, iso)
-            if match is None:
-                continue
-            key = match.elements
-            if key in seen:
-                continue  # automorphic duplicate (e.g. DP arm swap)
-            seen.add(key)
-            matches.append(match)
-        # Canonical order: the search enumerates candidate pools (hash
-        # sets) in an order that depends on which path built them, and
-        # downstream overlap resolution claims devices in match order —
-        # sort so both paths hand identical lists to the claimer.
-        matches.sort(key=lambda m: (m.element_map, m.net_map))
-        return matches
-
-    try:
-        isos = matcher.find_all(budget=budget)
-    except BudgetExceeded as exc:
-        exc.partial = translate(exc.partial or [])
-        raise
-    return translate(isos)
+    matcher = VF2Matcher(
+        template.pattern, target, profile=profile, target_context=context
+    )
+    return collect_matches(matcher, profile, target, budget)
 
 
 @dataclass
@@ -231,6 +222,31 @@ class AnnotationResult:
         return grouped
 
 
+def claim_matches(
+    target: CircuitGraph,
+    match_lists: list[list[PrimitiveMatch]],
+    allow_overlap: bool = False,
+) -> AnnotationResult:
+    """Resolve overlaps: visit the lists in order, first claim wins.
+
+    With ``allow_overlap`` every match is reported.  ``unclaimed``
+    lists the target devices no reported match covers.
+    """
+    result = AnnotationResult()
+    covered: set[str] = set()
+    for matches in match_lists:
+        for match in matches:
+            elements = match.elements
+            if not allow_overlap and elements & covered:
+                continue
+            result.matches.append(match)
+            covered |= elements
+    result.unclaimed = [
+        dev.name for dev in target.elements if dev.name not in covered
+    ]
+    return result
+
+
 def annotate_primitives(
     target: CircuitGraph,
     library: PrimitiveLibrary,
@@ -239,7 +255,6 @@ def annotate_primitives(
     *,
     context: "TargetContext | None" = None,
     profiler: "PipelineProfiler | None" = None,
-    indexed: bool = True,
     match_memo: dict[str, list[PrimitiveMatch]] | None = None,
 ) -> AnnotationResult:
     """Recognize every primitive in ``target``.
@@ -254,13 +269,12 @@ def annotate_primitives(
     :class:`AnnotationResult` (matches accepted before the cutoff, plus
     the partial matches of the interrupted template) as ``exc.partial``.
 
-    On the indexed path a shared ``context`` (built here when not
-    given) serves every template, and a template whose element-kind
-    histogram cannot be covered by the target's is skipped without
-    launching VF2 — on small CCC subgraphs this rejects most of the
-    library in O(1) each.  ``profiler`` (a
-    :class:`~repro.runtime.profile.PipelineProfiler`) collects
-    per-template wall-clock, launch, match, and skip counts.
+    A shared ``context`` (built here when not given) serves every
+    template, and a template whose element-kind histogram cannot be
+    covered by the target's is skipped without launching VF2 — on small
+    CCC subgraphs this rejects most of the library in O(1) each.
+    ``profiler`` (a :class:`~repro.runtime.profile.PipelineProfiler`)
+    collects per-template wall-clock, launch, match, and skip counts.
 
     ``match_memo`` is the sub-stage incremental-recompute hook: a
     mutable ``{template_fingerprint: [PrimitiveMatch, ...]}`` dict of
@@ -270,35 +284,13 @@ def annotate_primitives(
     templates this call does compute are written back so the caller can
     persist the memo (see
     :class:`repro.core.stages.PrimitiveMatchCache`).  Raw match lists
-    are independent of library composition — claiming happens here,
+    are independent of library composition — claiming happens
     afterwards — which is what makes them safely reusable across
     library changes.
     """
     from repro.primitives.index import TargetContext, template_profile
-    from repro.primitives.signatures import TargetIndex
 
-    result = AnnotationResult()
-    claimed: set[str] = set()
-    all_matched: set[str] = set()
-
-    def accept(match: PrimitiveMatch) -> None:
-        nonlocal claimed, all_matched
-        elements = match.elements
-        if not allow_overlap and elements & claimed:
-            return
-        result.matches.append(match)
-        all_matched |= elements
-        if not allow_overlap:
-            claimed |= elements
-
-    def finish() -> AnnotationResult:
-        covered = claimed if not allow_overlap else all_matched
-        result.unclaimed = [
-            dev.name for dev in target.elements if dev.name not in covered
-        ]
-        return result
-
-    index = None if indexed else TargetIndex.build(target)
+    found: list[list[PrimitiveMatch]] = []
     try:
         for template in library.by_size_desc():
             # Memo first: a fully warm memo answers every template
@@ -310,31 +302,23 @@ def annotate_primitives(
                 if cached is not None:
                     if profiler is not None:
                         profiler.count("match_cache_hits")
-                    for match in cached:
-                        accept(match)
+                    found.append(cached)
                     continue
             profile = template_profile(template)
-            if indexed:
-                if context is None:
-                    context = TargetContext.build(target)
-                if not _kinds_coverable(profile, context):
-                    if profiler is not None:
-                        profiler.record_template_skip(template.name)
-                    if match_memo is not None:
-                        # A kind-rejected template's raw match list is
-                        # the empty list — memoize it so warm runs skip
-                        # the histogram test (and the context) too.
-                        match_memo[memo_key] = []
-                    continue
+            if context is None:
+                context = TargetContext.build(target)
+            if not _kinds_coverable(profile, context):
+                if profiler is not None:
+                    profiler.record_template_skip(template.name)
+                if match_memo is not None:
+                    # A kind-rejected template's raw match list is the
+                    # empty list — memoize it so warm runs skip the
+                    # histogram test (and the context) too.
+                    match_memo[memo_key] = []
+                continue
             started = time.perf_counter()
             matches = find_primitive_matches(
-                template,
-                target,
-                index,
-                budget=budget,
-                profile=profile,
-                context=context,
-                indexed=indexed,
+                template, target, budget, profile=profile, context=context
             )
             if profiler is not None:
                 profiler.record_template(
@@ -344,14 +328,12 @@ def annotate_primitives(
                 )
             if match_memo is not None:
                 match_memo[memo_key] = list(matches)
-            for match in matches:
-                accept(match)
+            found.append(matches)
     except BudgetExceeded as exc:
-        for match in exc.partial or []:
-            accept(match)
-        exc.partial = finish()
+        found.append(exc.partial or [])
+        exc.partial = claim_matches(target, found, allow_overlap)
         raise
-    return finish()
+    return claim_matches(target, found, allow_overlap)
 
 
 def _kinds_coverable(
@@ -376,7 +358,6 @@ def annotate_components(
     library: PrimitiveLibrary,
     budget: Budget | None = None,
     profiler: "PipelineProfiler | None" = None,
-    indexed: bool = True,
     match_cache=None,
 ) -> dict[int, AnnotationResult]:
     """Per-CCC primitive annotation: component id → its matches.
@@ -413,7 +394,6 @@ def annotate_components(
             library,
             budget=budget,
             profiler=profiler,
-            indexed=indexed,
             match_memo=memo,
         )
         if match_cache is not None and len(memo) > known:

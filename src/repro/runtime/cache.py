@@ -184,7 +184,8 @@ class ModelCache:
         if not path.exists():
             return None
         try:
-            with np.load(path) as data:
+            # Own the handle: np.load leaks it if a truncated zip raises.
+            with open(path, "rb") as fh, np.load(fh) as data:
                 meta = json.loads(str(data["__meta__"]))
                 if meta.get("format_version") != CACHE_FORMAT_VERSION:
                     raise ValueError("stale cache format")

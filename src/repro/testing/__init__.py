@@ -1,6 +1,6 @@
-"""Generative fuzzing + differential-oracle harness (ISSUE 10).
+"""Generative fuzzing, differential oracles and reference twins.
 
-The correctness backstop for every dual execution path in the repo:
+The correctness backstop for every fast path in the repo:
 
 * :mod:`repro.testing.generator` — seeded random SPICE deck
   composition from grammar-level building blocks (primitive templates,
@@ -12,9 +12,13 @@ The correctness backstop for every dual execution path in the repo:
   (byte-identical, identical up to rename, …);
 * :mod:`repro.testing.oracles` — the differential oracle registry:
   one deck through paired execution paths, equivalence asserted
-  (indexed vs naive matching, packed vs per-sample GCN, staged vs
+  (indexed vs naive matching, packed GCN vs a batch of one, staged vs
   monolith, hier vs flat, warm vs cold cache, strict vs lenient parse,
   include expansion, both elaboration modes);
+* :mod:`repro.testing.reference` — the slower reference twins that
+  production fast paths replaced (the monolith flow, naive primitive
+  matching, the per-sample GCN training loop), kept only to be
+  compared against;
 * :mod:`repro.testing.shrink` — delta-debugging minimizer that turns
   any failing deck into a small committed repro;
 * :mod:`repro.testing.campaign` — the fuzz loop behind

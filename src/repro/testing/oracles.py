@@ -12,10 +12,11 @@ parse_modes           strict parse/flatten vs lenient on clean decks
                       lenient-recovered on dirty decks
 elaboration           ``flatten`` vs ``flatten_hierarchical`` flat circuit
 include_roundtrip     ``.include``-split files vs self-contained text
-indexed_matching      ``find_primitive_matches(indexed=True)`` vs the
-                      naive ``indexed=False`` reference, per template
+indexed_matching      ``find_primitive_matches`` vs the naive reference
+                      matcher (:mod:`repro.testing.reference`), per
+                      template
 packed_gcn            ``GcnAnnotator.annotate_batch`` (block-diagonal
-                      packed forward) vs per-sample ``annotate``
+                      packed forward) vs ``annotate`` (a batch of one)
 staged_vs_monolith    ``GanaPipeline.run`` (staged) vs ``run_monolith``
                       (:mod:`repro.testing.reference`)
 hier_vs_flat          ``run(hier=True)`` vs the flat run
@@ -29,7 +30,9 @@ Function-level imports that an oracle dereferences at call time
 (``find_primitive_matches`` in particular) are module attributes on
 purpose: a test can monkeypatch
 ``repro.testing.oracles.find_primitive_matches`` to inject a fault and
-watch the fuzzer catch and shrink it.
+watch the fuzzer catch and shrink it.  The naive side of
+``indexed_matching`` never goes through that attribute, so a fault
+cannot hide on both sides.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from repro.testing.metamorphic import (
     apply_transform,
     check_invariant,
 )
-from repro.testing.reference import run_monolith
+from repro.testing.reference import naive_find_primitive_matches, run_monolith
 
 
 class DivergenceError(AssertionError):
@@ -244,17 +247,15 @@ def check_include_roundtrip(deck: GeneratedDeck, ctx: OracleContext) -> None:
         )
 
 
-@_oracle("indexed VF2 matching equals the naive indexed=False reference")
+@_oracle("indexed VF2 matching equals the naive reference matcher")
 def check_indexed_matching(deck: GeneratedDeck, ctx: OracleContext) -> None:
     from repro.primitives.library import extended_library
 
     graph = _flat_graph(deck)
     context = TargetContext.build(graph)
     for template in extended_library().templates:
-        naive = find_primitive_matches(template, graph, indexed=False)
-        fast = find_primitive_matches(
-            template, graph, context=context, indexed=True
-        )
+        naive = naive_find_primitive_matches(template, graph)
+        fast = find_primitive_matches(template, graph, context=context)
         if [_match_key(m) for m in naive] != [_match_key(m) for m in fast]:
             _diverge(
                 "indexed_matching",
@@ -269,7 +270,7 @@ def check_indexed_matching(deck: GeneratedDeck, ctx: OracleContext) -> None:
 # ---------------------------------------------------------------------------
 
 
-@_oracle("packed block-diagonal GCN forward equals per-sample forward", needs_pipeline=True)
+@_oracle("packed block-diagonal GCN forward equals a batch of one", needs_pipeline=True)
 def check_packed_gcn(deck: GeneratedDeck, ctx: OracleContext) -> None:
     graph = _flat_graph(deck)
     annotator = ctx.pipeline.annotator
@@ -279,7 +280,7 @@ def check_packed_gcn(deck: GeneratedDeck, ctx: OracleContext) -> None:
         if not np.array_equal(ann.vertex_classes, solo.vertex_classes):
             _diverge(
                 "packed_gcn",
-                f"packed sample {i}: vertex classes differ from per-sample path",
+                f"packed sample {i}: vertex classes differ from the batch of one",
             )
         if not np.allclose(
             ann.probabilities, solo.probabilities, rtol=1e-9, atol=1e-12

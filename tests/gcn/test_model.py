@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelConfigError
-from repro.gcn.loss import cross_entropy
+from repro.testing.reference import cross_entropy
 from repro.gcn.model import GCNConfig, GCNModel
 from repro.gcn.samples import GraphSample
 from repro.graph.bipartite import CircuitGraph

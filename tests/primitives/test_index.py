@@ -21,9 +21,14 @@ from repro.primitives.index import (
 )
 from repro.primitives.library import default_library
 from repro.primitives.matcher import (
+    _kinds_coverable,
     annotate_components,
     annotate_primitives,
     find_primitive_matches,
+)
+from repro.testing.reference import (
+    naive_annotate_primitives,
+    naive_find_primitive_matches,
 )
 from tests.conftest import CANONICAL_GRAPH_NAMES, build_canonical_graphs
 
@@ -40,28 +45,39 @@ class TestIndexedEqualsNaive:
         graph = GRAPHS[graph_name]
         context = TargetContext.build(graph)
         for template in LIBRARY.templates:
-            naive = find_primitive_matches(template, graph, indexed=False)
-            indexed = find_primitive_matches(
-                template, graph, context=context, indexed=True
-            )
+            naive = naive_find_primitive_matches(template, graph)
+            indexed = find_primitive_matches(template, graph, context=context)
             assert indexed == naive, template.name
 
     def test_annotation_identical(self, graph_name):
         graph = GRAPHS[graph_name]
-        naive = annotate_primitives(graph, LIBRARY, indexed=False)
-        indexed = annotate_primitives(graph, LIBRARY, indexed=True)
+        naive = naive_annotate_primitives(graph, LIBRARY)
+        indexed = annotate_primitives(graph, LIBRARY)
         assert indexed.matches == naive.matches
         assert indexed.unclaimed == naive.unclaimed
 
     def test_overlapping_annotation_identical(self, graph_name):
         graph = GRAPHS[graph_name]
-        naive = annotate_primitives(
-            graph, LIBRARY, allow_overlap=True, indexed=False
-        )
-        indexed = annotate_primitives(
-            graph, LIBRARY, allow_overlap=True, indexed=True
-        )
+        naive = naive_annotate_primitives(graph, LIBRARY, allow_overlap=True)
+        indexed = annotate_primitives(graph, LIBRARY, allow_overlap=True)
         assert indexed.matches == naive.matches
+
+    def test_kind_rejected_templates_have_no_naive_matches(self, graph_name):
+        """The histogram skip is sound: on the graph and on each of its
+        CCC subgraphs, a template it rejects has no match at all."""
+        graph = GRAPHS[graph_name]
+        partition = channel_connected_components(graph)
+        targets = [graph] + [
+            graph.subgraph_of_elements(members)
+            for members in partition.components
+        ]
+        for target in targets:
+            context = TargetContext.build(target)
+            for template in LIBRARY.templates:
+                if not _kinds_coverable(template_profile(template), context):
+                    assert not naive_find_primitive_matches(
+                        template, target
+                    ), template.name
 
 
 class TestComponentScopedAnnotation:
@@ -72,7 +88,7 @@ class TestComponentScopedAnnotation:
         assert set(scoped) == set(range(partition.n_components))
         for cid, members in enumerate(partition.components):
             subgraph = graph.subgraph_of_elements(members)
-            direct = annotate_primitives(subgraph, LIBRARY, indexed=False)
+            direct = naive_annotate_primitives(subgraph, LIBRARY)
             assert scoped[cid].matches == direct.matches
 
     def test_every_match_stays_inside_its_component(self):

@@ -90,9 +90,10 @@ class TestDivergenceRollback:
 
     def test_nan_minibatch_rolls_back_and_recovers(self, split, monkeypatch):
         tr, val = split
-        # 7 samples / batch_size 3 → two packed minibatches per epoch;
-        # call 3 is the first minibatch of epoch 1.
-        self._poison_nth_batched_loss(monkeypatch, 3)
+        # 7 samples / batch_size 3 → three packed minibatches per
+        # epoch (3, 3 and a tail of 1); call 4 is the first minibatch
+        # of epoch 1.
+        self._poison_nth_batched_loss(monkeypatch, 4)
         model = GCNModel(_model_config(tr))
         history = train(
             model, tr, val, TrainConfig(epochs=4, batch_size=3, seed=5),
