@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.core.annotator import GcnAnnotator
@@ -44,6 +45,23 @@ def update_bench_json(section: str, payload: dict) -> None:
     data[section] = payload
     data["host"] = {"cpu_count": os.cpu_count(), "scale": SCALE}
     BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+@contextmanager
+def per_ccc_matching():
+    """Run Postprocessing I through
+    :func:`repro.testing.reference.per_ccc_annotate_components` (no
+    CCC shape sharing) — the slow side of the post1 speedup gates."""
+    from repro.core import postprocess
+    from repro.testing.reference import per_ccc_annotate_components
+
+    production = postprocess.annotate_components
+    postprocess.annotate_components = per_ccc_annotate_components
+    try:
+        yield
+    finally:
+        postprocess.annotate_components = production
+
 
 #: Dataset/training sizes per scale.
 OTA_TRAIN = 624 if PAPER else 80

@@ -1,7 +1,10 @@
 """CI smoke check: staged incremental recompute must stay warm.
 
-Annotates the phased array cold (fresh artifact cache), then re-runs
-with *only the primitive library changed*.  The warm run must
+Annotates the phased array cold (fresh artifact cache, every CCC
+matched on its own by
+:func:`repro.testing.reference.per_ccc_annotate_components`), then
+re-runs through production with *only the primitive library changed*.
+The warm run must
 
 * reuse the cached parse/preprocess/graph/GCN artifacts (the library
   fingerprint only enters the key chain at Postprocessing I), and
@@ -33,7 +36,7 @@ LIBRARY_INDEPENDENT = ("parse", "preprocess", "graph", "gcn")
 
 
 def measure(reps: int) -> dict:
-    from benchmarks._common import load_annotator
+    from benchmarks._common import load_annotator, per_ccc_matching
     from repro.core.pipeline import GanaPipeline
     from repro.datasets.systems import phased_array
     from repro.primitives.library import default_library, extended_library
@@ -51,12 +54,13 @@ def measure(reps: int) -> dict:
         for rep in range(reps):
             cache = ArtifactCache(Path(tmp) / f"artifacts-{rep}")
             start = time.perf_counter()
-            cold = cold_pipe.run_staged(
-                system.circuit,
-                port_labels=system.port_labels,
-                name=system.name,
-                artifact_cache=cache,
-            )
+            with per_ccc_matching():
+                cold = cold_pipe.run_staged(
+                    system.circuit,
+                    port_labels=system.port_labels,
+                    name=system.name,
+                    artifact_cache=cache,
+                )
             cold_seconds = min(cold_seconds, time.perf_counter() - start)
             assert cold.cache_hits == (), "cold run unexpectedly hit the cache"
         # Snapshot the cold run's entries so each warm rep measures a

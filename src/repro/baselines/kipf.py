@@ -47,16 +47,20 @@ class KipfConv(Layer):
         )
         self.params["bias"] = np.zeros(out_features)
         self.zero_grad()
-        self._cache: dict[int, sp.csr_matrix] = {}
 
-    def _propagation(self, ctx: SampleContext) -> sp.csr_matrix:
+    @staticmethod
+    def _propagation(ctx: SampleContext) -> sp.csr_matrix:
+        """``Â`` of the context's Laplacian, memoized in the sample (or
+        packed batch) cache next to the very Laplacian object it came
+        from, so it lives and dies with that sample."""
         lap = ctx.laplacian
-        key = id(lap)
-        if key not in self._cache:
-            n = lap.shape[0]
-            identity = sp.identity(n, format="csr")
-            self._cache[key] = sp.csr_matrix(0.5 * (identity - lap))
-        return self._cache[key]
+        cache = ctx.cache if ctx.cache is not None else {}
+        entry = cache.get("kipf-propagation")
+        if entry is None or entry[0] is not lap:
+            identity = sp.identity(lap.shape[0], format="csr")
+            entry = (lap, sp.csr_matrix(0.5 * (identity - lap)))
+            cache["kipf-propagation"] = entry
+        return entry[1]
 
     def forward(self, x, ctx, training):
         a_hat = self._propagation(ctx)

@@ -9,7 +9,7 @@ while staying byte-identical to the flat path:
 
 * :class:`HierMatchCache` plugs into the untouched
   :func:`repro.primitives.matcher.annotate_components` through its
-  ``match_cache`` protocol (``subgraph_key`` / ``load`` / ``store``).
+  ``match_cache`` protocol (``ccc_key`` / ``load`` / ``store``).
   A channel-connected component whose devices all live inside one
   instance is *canonicalized* against that instance's definition —
   prefix-stripped device names, port-binding-resolved net names,
@@ -44,6 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.stages import MATCH_CACHE_VERSION
+from repro.primitives.library import port_predicate_vector
 from repro.primitives.matcher import PrimitiveMatch
 from repro.spice.flatten import SEP, DesignTree, InstanceRecord
 from repro.spice.netlist import is_power_net
@@ -56,8 +57,10 @@ HIER_MATCH_PREFIX = "hier-matches"
 #: ``ground``/``signal`` predicates read the module-level rail regexes
 #: (``SUPPLY_NET_RE``/``GROUND_NET_RE``), so the memo is cleared at the
 #: start of every run (:func:`reset_predicate_profile_memo`), together
-#: with the ``is_power_net`` memo.
+#: with the ``is_power_net`` memo, and whenever it reaches
+#: ``_PRED_PROFILE_MEMO_MAX`` entries.
 _PRED_PROFILE_MEMO: dict[str, tuple[bool, ...]] = {}
+_PRED_PROFILE_MEMO_MAX = 1024
 
 
 def reset_predicate_profile_memo() -> None:
@@ -75,11 +78,9 @@ def _predicate_profile(net: str) -> tuple[bool, ...]:
     """
     profile = _PRED_PROFILE_MEMO.get(net)
     if profile is None:
-        from repro.primitives.library import PORT_PREDICATES
-
-        profile = _PRED_PROFILE_MEMO[net] = tuple(
-            bool(PORT_PREDICATES[key](net)) for key in sorted(PORT_PREDICATES)
-        )
+        if len(_PRED_PROFILE_MEMO) >= _PRED_PROFILE_MEMO_MAX:
+            _PRED_PROFILE_MEMO.clear()
+        profile = _PRED_PROFILE_MEMO[net] = port_predicate_vector(net)
     return profile
 
 
@@ -105,7 +106,7 @@ def _order_preserving(rename: dict[str, str]) -> bool:
 
 @dataclass
 class _CccPlan:
-    """Everything :meth:`HierMatchCache.subgraph_key` learned about one
+    """Everything :meth:`HierMatchCache.ccc_key` learned about one
     CCC, consumed by the immediately following ``load``/``store``."""
 
     key: str
@@ -184,8 +185,8 @@ class HierMatchCache:
     """Definition-scoped VF2 dedup behind the ``match_cache`` protocol.
 
     Stateful adapter: :func:`~repro.primitives.matcher.annotate_components`
-    calls ``subgraph_key(subgraph)`` then ``load``/``store`` strictly in
-    sequence for each CCC, so the plan computed by ``subgraph_key`` is
+    calls ``ccc_key(devices)`` then ``load``/``store`` strictly in
+    sequence for each CCC, so the plan computed by ``ccc_key`` is
     stashed and consumed by the very next ``load``/``store`` pair.
 
     ``artifact_cache`` (optional) persists shared entries across runs
@@ -237,25 +238,24 @@ class HierMatchCache:
                 return rec
         return None
 
-    def _boundary_plan(self, subgraph) -> _CccPlan:
+    def _boundary_plan(self, devices) -> _CccPlan:
         if self._cache is not None:
             # With a backing store, boundary CCCs keep the flat path's
             # content-addressed persistence, byte for byte.
             from repro.core.stages import PrimitiveMatchCache
 
-            key = PrimitiveMatchCache.subgraph_key(subgraph)
+            key = PrimitiveMatchCache.ccc_key(devices)
         else:
             self._seq += 1
             key = f"hier-boundary-{self._seq}"
         return _CccPlan(key=key, eligible=False, definition="(boundary)")
 
-    def _plan_for(self, subgraph) -> _CccPlan:
-        devices = subgraph.elements
+    def _plan_for(self, devices) -> _CccPlan:
         if not devices:
-            return self._boundary_plan(subgraph)
+            return self._boundary_plan(devices)
         rec = self._scope_of(devices)
         if rec is None:
-            return self._boundary_plan(subgraph)
+            return self._boundary_plan(devices)
         prefix = rec.path + SEP
         dev_names = tuple(dev.name[len(prefix):] for dev in devices)
         template_key = (rec.fingerprint, rec.multiplier, dev_names)
@@ -266,11 +266,11 @@ class HierMatchCache:
                 if plan is not None:
                     self.stats["replayed"] += 1
                     return plan
-            return self._walk_plan(subgraph, rec, prefix, None)
-        return self._walk_plan(subgraph, rec, prefix, template_key)
+            return self._walk_plan(devices, rec, prefix, None)
+        return self._walk_plan(devices, rec, prefix, template_key)
 
     def _walk_plan(
-        self, subgraph, rec: InstanceRecord, prefix: str, template_key
+        self, devices, rec: InstanceRecord, prefix: str, template_key
     ) -> _CccPlan:
         """Full canonicalization walk over the CCC's devices and nets.
 
@@ -282,7 +282,6 @@ class HierMatchCache:
         a power rail, a port bound to a global, ...), in which case the
         template slot is poisoned with ``None``.
         """
-        devices = subgraph.elements
         bound_ports: dict[str, list[str]] = {}
         for port, net in rec.bindings:
             bound_ports.setdefault(net, []).append(port)
@@ -315,7 +314,7 @@ class HierMatchCache:
             for term, net in dev.pins:
                 canon = canon_net(net)
                 if canon is None:
-                    return self._boundary_plan(subgraph)
+                    return self._boundary_plan(devices)
                 pins.append((term, canon))
             dev_canon[canon_name] = dev.name
             dev_parts.append(
@@ -432,10 +431,10 @@ class HierMatchCache:
 
     # -- match_cache protocol ----------------------------------------------
 
-    def subgraph_key(self, subgraph) -> str:
+    def ccc_key(self, devices) -> str:
         now = time.perf_counter()
         self._flush(now)
-        plan = self._plan_for(subgraph)
+        plan = self._plan_for(devices)
         plan.started = now
         self._plan = plan
         self.stats["cccs"] += 1

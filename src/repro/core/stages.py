@@ -908,16 +908,16 @@ class PrimitiveMatchCache:
         self._cache = cache
 
     @staticmethod
-    def subgraph_key(subgraph: CircuitGraph) -> str:
-        """Content key of a CCC subgraph (devices + ports).
+    def ccc_key(devices) -> str:
+        """Content key of one CCC's member devices, in element order.
 
         ``repr`` of the element dataclasses is deterministic (strings,
         enums, floats, tuples) and an order of magnitude faster than
-        the generic walker — this runs once per CCC per run.
+        the generic walker — this runs once per CCC per run.  The empty
+        tuple is the port list of the per-CCC subgraph circuit the key
+        was first taken over; keeping it keeps stored entries valid.
         """
-        raw = repr(
-            (tuple(subgraph.elements), tuple(subgraph.circuit.ports))
-        )
+        raw = repr((tuple(devices), ()))
         digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()[:32]
         return f"ccc-matches-v{MATCH_CACHE_VERSION}-{digest}"
 

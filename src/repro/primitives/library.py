@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from repro.core.constraints import Constraint, ConstraintKind
 from repro.exceptions import MatchError
 from repro.graph.bipartite import CircuitGraph
+from repro.graph.features import NetRole, infer_net_role
 from repro.primitives.isomorphism import PatternGraph
 from repro.runtime.cache import Memo
 from repro.spice.netlist import is_ground_net, is_power_net, is_supply_net
@@ -34,8 +35,6 @@ from repro.spice.parser import parse_netlist
 
 def _is_bias_net(net: str) -> bool:
     """Name-convention bias nets (vb*, bias*, vref*, iref* …)."""
-    from repro.graph.features import NetRole, infer_net_role
-
     return infer_net_role(net, ports=(net,)) is NetRole.BIAS
 
 
@@ -48,6 +47,14 @@ PORT_PREDICATES = {
     "signal": lambda net: not is_power_net(net),
     "bias": _is_bias_net,
 }
+
+
+def port_predicate_vector(net: str) -> tuple[bool, ...]:
+    """Every :data:`PORT_PREDICATES` outcome on ``net``, in predicate
+    name order: two nets with equal vectors pass the same port checks."""
+    return tuple(
+        bool(PORT_PREDICATES[key](net)) for key in sorted(PORT_PREDICATES)
+    )
 
 
 @dataclass

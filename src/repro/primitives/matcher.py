@@ -17,8 +17,8 @@ rejection, no symmetry breaking) is a reference in
 ``tests/primitives/test_index.py`` assert exact equality.
 
 :func:`annotate_components` scopes matching per channel-connected
-component: one shared context per CCC-induced subgraph, with the
-template profiles shared across all of them.
+component and matches each distinct CCC shape once: later CCCs of a
+shape rename the first one's matches instead of running VF2.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.primitives.isomorphism import Isomorphism, VF2Matcher
 from repro.primitives.library import (
     PrimitiveLibrary,
     PrimitiveTemplate,
+    port_predicate_vector,
     template_fingerprint,
 )
 from repro.runtime.resilience import Budget
@@ -42,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.ccc import CCCPartition
     from repro.primitives.index import TargetContext, TemplateProfile
     from repro.runtime.profile import PipelineProfiler
+    from repro.spice.netlist import Device
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,18 @@ def _match_from_isomorphism(
                 for predicate in predicates:
                     if not predicate(target_net):
                         return None
+    return _named_match(
+        template, tuple(sorted(element_map)), tuple(sorted(net_map))
+    )
+
+
+def _named_match(
+    template: PrimitiveTemplate,
+    element_map: tuple[tuple[str, str], ...],
+    net_map: tuple[tuple[str, str], ...],
+) -> PrimitiveMatch:
+    """A match of ``template`` with its constraints renamed onto the
+    target devices of ``element_map`` (both maps already sorted)."""
     if template.constraints:
         rename = dict(element_map)
         constraints = tuple(
@@ -119,10 +133,14 @@ def _match_from_isomorphism(
         constraints = ()
     return PrimitiveMatch(
         primitive=template.name,
-        element_map=tuple(sorted(element_map)),
-        net_map=tuple(sorted(net_map)),
+        element_map=element_map,
+        net_map=net_map,
         constraints=constraints,
     )
+
+
+def _match_order(match: PrimitiveMatch) -> tuple:
+    return (match.element_map, match.net_map)
 
 
 def _translate(
@@ -146,7 +164,7 @@ def _translate(
     # sets) in an order that depends on how they were built, and
     # downstream overlap resolution claims devices in match order —
     # sort so every matcher hands identical lists to the claimer.
-    matches.sort(key=lambda m: (m.element_map, m.net_map))
+    matches.sort(key=_match_order)
     return matches
 
 
@@ -223,14 +241,14 @@ class AnnotationResult:
 
 
 def claim_matches(
-    target: CircuitGraph,
+    devices: "list[Device]",
     match_lists: list[list[PrimitiveMatch]],
     allow_overlap: bool = False,
 ) -> AnnotationResult:
     """Resolve overlaps: visit the lists in order, first claim wins.
 
     With ``allow_overlap`` every match is reported.  ``unclaimed``
-    lists the target devices no reported match covers.
+    lists the target ``devices`` no reported match covers.
     """
     result = AnnotationResult()
     covered: set[str] = set()
@@ -242,7 +260,7 @@ def claim_matches(
             result.matches.append(match)
             covered |= elements
     result.unclaimed = [
-        dev.name for dev in target.elements if dev.name not in covered
+        dev.name for dev in devices if dev.name not in covered
     ]
     return result
 
@@ -331,9 +349,9 @@ def annotate_primitives(
             found.append(matches)
     except BudgetExceeded as exc:
         found.append(exc.partial or [])
-        exc.partial = claim_matches(target, found, allow_overlap)
+        exc.partial = claim_matches(target.elements, found, allow_overlap)
         raise
-    return claim_matches(target, found, allow_overlap)
+    return claim_matches(target.elements, found, allow_overlap)
 
 
 def _kinds_coverable(
@@ -352,6 +370,100 @@ def _kinds_coverable(
     return True
 
 
+@dataclass
+class _Shape:
+    """The first CCC of one structural shape: its device and net names
+    by local position, and its raw per-template match lists."""
+
+    element_names: list[str]
+    net_names: list[str]
+    raw: dict[str, list[PrimitiveMatch]]
+
+
+def _ccc_view(
+    graph: CircuitGraph,
+    members: set[int],
+    edge_lists: list[list],
+    net_vectors: list[tuple[bool, ...]],
+) -> tuple["list[Device]", list[str], tuple]:
+    """One CCC read off the parent graph: devices, nets, structural key.
+
+    Devices come in element order and nets in first-appearance order
+    over their edges, so local positions are exactly the vertex
+    numbering :meth:`CircuitGraph.subgraph_of_elements` would give the
+    CCC (sources are dropped there too).  The key holds no names: the
+    element kinds, the labelled edges between local positions (so net
+    degrees are CCC-local) and each net's port-predicate vector.
+    """
+    devices = []
+    kinds = []
+    local_nets: dict[int, int] = {}
+    edges = []
+    for index in sorted(members):
+        device = graph.elements[index]
+        if device.kind.is_source:
+            continue
+        position = len(devices)
+        devices.append(device)
+        kinds.append(device.kind)
+        for edge in edge_lists[index]:
+            local = local_nets.setdefault(edge.net, len(local_nets))
+            edges.append((position, local, edge.label))
+    key = (
+        tuple(kinds),
+        tuple(edges),
+        tuple(net_vectors[net] for net in local_nets),
+    )
+    return devices, [graph.nets[net] for net in local_nets], key
+
+
+def _replay_shape(
+    shape: _Shape,
+    devices: "list[Device]",
+    nets: list[str],
+    templates: list[PrimitiveTemplate],
+    fingerprints: list[str],
+    memo: dict[str, list[PrimitiveMatch]] | None,
+    profiler: "PipelineProfiler | None",
+) -> AnnotationResult:
+    """Annotate a CCC from the match lists of an earlier one of its shape.
+
+    Equal keys give equal VF2 searches over local positions, so each
+    raw list renames position by position; only the name-dependent
+    ``(element_map, net_map)`` order is recomputed before claiming.
+    Templates present in ``memo`` are taken from it, and the renamed
+    lists are written back to it.
+    """
+    element_rename = dict(
+        zip(shape.element_names, (device.name for device in devices))
+    )
+    net_rename = dict(zip(shape.net_names, nets))
+    found: list[list[PrimitiveMatch]] = []
+    for template, fingerprint in zip(templates, fingerprints):
+        if memo is not None:
+            cached = memo.get(fingerprint)
+            if cached is not None:
+                if profiler is not None:
+                    profiler.count("match_cache_hits")
+                found.append(cached)
+                continue
+        elif not shape.raw[fingerprint]:
+            continue  # an empty list claims nothing
+        matches = [
+            _named_match(
+                template,
+                tuple((p, element_rename[t]) for p, t in match.element_map),
+                tuple((p, net_rename[t]) for p, t in match.net_map),
+            )
+            for match in shape.raw[fingerprint]
+        ]
+        matches.sort(key=_match_order)
+        if memo is not None:
+            memo[fingerprint] = list(matches)
+        found.append(matches)
+    return claim_matches(devices, found)
+
+
 def annotate_components(
     graph: CircuitGraph,
     partition: "CCCPartition",
@@ -362,40 +474,66 @@ def annotate_components(
 ) -> dict[int, AnnotationResult]:
     """Per-CCC primitive annotation: component id → its matches.
 
-    Matching is scoped to each channel-connected component's induced
-    subgraph (the unit Postprocessing I reasons about), which both
-    bounds every VF2 launch to a handful of vertices and lets the
-    kind-histogram test reject most templates per component outright.
-    Template profiles are shared across every component; each component
-    pays for one subgraph + one :class:`TargetContext`.
+    Matching is scoped to each channel-connected component (the unit
+    Postprocessing I reasons about), which both bounds every VF2 launch
+    to a handful of vertices and lets the kind-histogram test reject
+    most templates per component outright.
+
+    Each CCC is first read as a view of the parent graph
+    (:func:`_ccc_view`).  The first CCC of each structural shape pays
+    for one subgraph, one :class:`TargetContext` and
+    :func:`annotate_primitives`; every later CCC of that shape renames
+    those raw match lists onto its own devices and nets
+    (:func:`_replay_shape`) with no VF2 at all.  The shape memo lives
+    for this call only.
 
     ``match_cache`` (a
     :class:`repro.core.stages.PrimitiveMatchCache`-shaped object) makes
-    matching incremental across runs: each subgraph's per-template raw
-    match lists are loaded by subgraph content key, templates already
-    present skip VF2, and any newly computed lists are stored back —
+    matching incremental across runs: each CCC's per-template raw
+    match lists are loaded by ``match_cache.ccc_key(devices)``,
+    templates already present are taken as they are (the shape memo
+    fills only the others), and any newly added lists are stored back —
     but only when the component finished cleanly (a budget blow-up
     must not persist a partial memo).
     """
+    templates = library.by_size_desc()
+    fingerprints = [template_fingerprint(t) for t in templates]
+    edge_lists = graph.element_edge_lists()
+    net_vectors = [port_predicate_vector(net) for net in graph.nets]
+    shapes: dict[tuple, _Shape] = {}
     results: dict[int, AnnotationResult] = {}
     for cid, members in enumerate(partition.components):
         if profiler is not None:
             profiler.count("ccc_matched")
-        subgraph = graph.subgraph_of_elements(members)
+        devices, nets, key = _ccc_view(graph, members, edge_lists, net_vectors)
         memo = None
         cache_key = None
         known = 0
         if match_cache is not None:
-            cache_key = match_cache.subgraph_key(subgraph)
+            cache_key = match_cache.ccc_key(devices)
             memo = match_cache.load(cache_key)
             known = len(memo)
-        results[cid] = annotate_primitives(
-            subgraph,
-            library,
-            budget=budget,
-            profiler=profiler,
-            match_memo=memo,
-        )
+        shape = shapes.get(key)
+        if shape is None:
+            raw = memo if memo is not None else {}
+            results[cid] = annotate_primitives(
+                graph.subgraph_of_elements(members),
+                library,
+                budget=budget,
+                profiler=profiler,
+                match_memo=raw,
+            )
+            shapes[key] = _Shape(
+                [device.name for device in devices], nets, dict(raw)
+            )
+            if profiler is not None:
+                profiler.count("ccc_shapes")
+        else:
+            results[cid] = _replay_shape(
+                shape, devices, nets, templates, fingerprints, memo, profiler
+            )
+            if profiler is not None:
+                profiler.count("ccc_shape_hits")
         if match_cache is not None and len(memo) > known:
             match_cache.store(cache_key, memo)
     return results

@@ -14,7 +14,8 @@ elaboration           ``flatten`` vs ``flatten_hierarchical`` flat circuit
 include_roundtrip     ``.include``-split files vs self-contained text
 indexed_matching      ``find_primitive_matches`` vs the naive reference
                       matcher (:mod:`repro.testing.reference`), per
-                      template
+                      template; ``annotate_components`` (CCC shape
+                      sharing) vs ``naive_annotate_components``, per CCC
 packed_gcn            ``GcnAnnotator.annotate_batch`` (block-diagonal
                       packed forward) vs ``annotate`` (a batch of one)
 staged_vs_monolith    ``GanaPipeline.run`` (staged) vs ``run_monolith``
@@ -27,8 +28,8 @@ metamorphic           a random transform from
 ====================  =====================================================
 
 Function-level imports that an oracle dereferences at call time
-(``find_primitive_matches`` in particular) are module attributes on
-purpose: a test can monkeypatch
+(``find_primitive_matches`` and ``annotate_components`` in particular)
+are module attributes on purpose: a test can monkeypatch
 ``repro.testing.oracles.find_primitive_matches`` to inject a fault and
 watch the fuzzer catch and shrink it.  The naive side of
 ``indexed_matching`` never goes through that attribute, so a fault
@@ -48,8 +49,9 @@ import numpy as np
 from repro.core.stages import pipeline_result_fingerprint
 from repro.exceptions import GanaError
 from repro.graph.bipartite import CircuitGraph
+from repro.graph.ccc import channel_connected_components
 from repro.primitives.index import TargetContext
-from repro.primitives.matcher import find_primitive_matches
+from repro.primitives.matcher import annotate_components, find_primitive_matches
 from repro.spice.flatten import flatten, flatten_hierarchical
 from repro.spice.parser import parse_netlist
 from repro.testing.generator import GeneratedDeck
@@ -59,7 +61,11 @@ from repro.testing.metamorphic import (
     apply_transform,
     check_invariant,
 )
-from repro.testing.reference import naive_find_primitive_matches, run_monolith
+from repro.testing.reference import (
+    naive_annotate_components,
+    naive_find_primitive_matches,
+    run_monolith,
+)
 
 
 class DivergenceError(AssertionError):
@@ -247,13 +253,14 @@ def check_include_roundtrip(deck: GeneratedDeck, ctx: OracleContext) -> None:
         )
 
 
-@_oracle("indexed VF2 matching equals the naive reference matcher")
+@_oracle("indexed VF2 matching and CCC shape sharing equal the naive reference")
 def check_indexed_matching(deck: GeneratedDeck, ctx: OracleContext) -> None:
     from repro.primitives.library import extended_library
 
     graph = _flat_graph(deck)
     context = TargetContext.build(graph)
-    for template in extended_library().templates:
+    library = extended_library()
+    for template in library.templates:
         naive = naive_find_primitive_matches(template, graph)
         fast = find_primitive_matches(template, graph, context=context)
         if [_match_key(m) for m in naive] != [_match_key(m) for m in fast]:
@@ -262,6 +269,19 @@ def check_indexed_matching(deck: GeneratedDeck, ctx: OracleContext) -> None:
                 f"template {template.name}: indexed path returned "
                 f"{len(fast)} matches vs naive {len(naive)} "
                 "(or same count, different content/order)",
+            )
+    partition = channel_connected_components(graph)
+    naive_cccs = naive_annotate_components(graph, partition, library)
+    fast_cccs = annotate_components(graph, partition, library)
+    for cid, naive in naive_cccs.items():
+        fast = fast_cccs.get(cid)
+        if fast is None or (
+            fast.matches != naive.matches or fast.unclaimed != naive.unclaimed
+        ):
+            _diverge(
+                "indexed_matching",
+                f"CCC {cid}: annotate_components differs from the naive "
+                "per-CCC annotation (matches or unclaimed devices)",
             )
 
 

@@ -8,6 +8,10 @@
   translation and overlap resolution with
   :mod:`repro.primitives.matcher`; ``tests/primitives/test_index.py``
   and the ``indexed_matching`` oracle assert exact equality.
+* :func:`per_ccc_annotate_components` — CCC matching without the
+  per-call shape memo; ``benchmarks/check_hier_regression.py`` and
+  ``benchmarks/check_incremental_regression.py`` time it as their
+  slow side.
 * :func:`cross_entropy`, :func:`run_epoch_per_sample` and
   :func:`train_per_sample` — the per-sample GCN training loop that
   block-diagonal packing replaced; ``tests/gcn/test_batch.py`` and
@@ -29,6 +33,7 @@ from repro.primitives.isomorphism import VF2Matcher
 from repro.primitives.matcher import (
     AnnotationResult,
     PrimitiveMatch,
+    annotate_primitives,
     claim_matches,
     collect_matches,
 )
@@ -175,7 +180,7 @@ def naive_annotate_primitives(target, library, allow_overlap: bool = False) -> A
         naive_find_primitive_matches(template, target, index)
         for template in library.by_size_desc()
     ]
-    return claim_matches(target, found, allow_overlap)
+    return claim_matches(target.elements, found, allow_overlap)
 
 
 def naive_annotate_components(
@@ -187,6 +192,36 @@ def naive_annotate_components(
         cid: naive_annotate_primitives(graph.subgraph_of_elements(members), library)
         for cid, members in enumerate(partition.components)
     }
+
+
+def per_ccc_annotate_components(
+    graph, partition, library, budget=None, profiler=None, match_cache=None
+) -> dict[int, AnnotationResult]:
+    """``annotate_components`` with one subgraph, one target context and
+    one full library pass per CCC, sharing nothing between CCCs of the
+    same shape.  Production matching, cache protocol included."""
+    results: dict[int, AnnotationResult] = {}
+    for cid, members in enumerate(partition.components):
+        if profiler is not None:
+            profiler.count("ccc_matched")
+        subgraph = graph.subgraph_of_elements(members)
+        memo = None
+        cache_key = None
+        known = 0
+        if match_cache is not None:
+            cache_key = match_cache.ccc_key(subgraph.elements)
+            memo = match_cache.load(cache_key)
+            known = len(memo)
+        results[cid] = annotate_primitives(
+            subgraph,
+            library,
+            budget=budget,
+            profiler=profiler,
+            match_memo=memo,
+        )
+        if match_cache is not None and len(memo) > known:
+            match_cache.store(cache_key, memo)
+    return results
 
 
 def cross_entropy(

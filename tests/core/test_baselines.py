@@ -119,6 +119,43 @@ class TestKipf:
         assert g[idx] == pytest.approx((up - down) / (2 * eps), rel=1e-5)
         assert np.isfinite(grad_x).all()
 
+    def test_propagation_follows_the_laplacian_object(self):
+        """A new Laplacian in the same sample cache never gets the old
+        Laplacian's propagation matrix back."""
+        x = np.random.default_rng(0).normal(size=(8, 3))
+        cache: dict = {}
+        first, second = self._ctx(), self._ctx()
+        second.laplacians[0] = second.laplacians[0] * 0.5
+        layer = KipfConv(3, 4, seeded_rng(0))
+        layer.forward(x, SampleContext(laplacians=first.laplacians, cache=cache), True)
+        out = layer.forward(
+            x, SampleContext(laplacians=second.laplacians, cache=cache), True
+        )
+        fresh = KipfConv(3, 4, seeded_rng(0)).forward(x, second, True)
+        np.testing.assert_array_equal(out, fresh)
+        assert len(cache) == 1
+
+    def test_layer_state_stays_bounded_over_epochs(self):
+        """Packed training builds a new Laplacian per minibatch; no
+        layer may keep one entry per minibatch."""
+        samples = []
+        for seed in range(4):
+            item = generate_ota(OtaSpec(topology="five_transistor", size_seed=seed))
+            graph = CircuitGraph.from_circuit(item.circuit)
+            labels = {
+                name: (0 if cls == "ota" else 1)
+                for name, cls in item.device_labels.items()
+            }
+            samples.append(GraphSample.from_graph(graph, labels, levels=0))
+        model = kipf_model(n_classes=2, hidden=(8, 8), fc_size=8, dropout=0.0)
+        train(model, samples, config=TrainConfig(epochs=5, batch_size=2, patience=0))
+        kipf_layers = [l for l in model.layers if isinstance(l, KipfConv)]
+        assert kipf_layers
+        for layer in kipf_layers:
+            for name, value in vars(layer).items():
+                if name not in ("params", "grads") and isinstance(value, dict):
+                    assert len(value) <= 1, name
+
     def test_kipf_model_trains_on_tiny_task(self):
         item = generate_ota(OtaSpec(topology="five_transistor"))
         graph = CircuitGraph.from_circuit(item.circuit)

@@ -242,6 +242,26 @@ class TestStagedFlags:
         assert set(profile["stages"]) == {"preprocess", "graph"}
         assert all(seconds >= 0.0 for seconds in profile["stages"].values())
 
+    def test_profile_counts_ccc_shapes(self, tmp_path, quick_model, capsys):
+        """Three identical subckt instances: each CCC shape is matched
+        once, the other CCCs of that shape are shape hits."""
+        from pathlib import Path
+
+        deck = Path(__file__).resolve().parents[2] / "examples/netlists/ota_array.sp"
+        profile_path = tmp_path / "out.json"
+        code = main(
+            ["annotate", str(deck), "--task", "ota",
+             "--model", str(quick_model), "--profile", str(profile_path)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        counters = json.loads(profile_path.read_text())["counters"]
+        assert counters["ccc_shape_hits"] > 0
+        assert (
+            counters["ccc_shapes"] + counters["ccc_shape_hits"]
+            == counters["ccc_matched"]
+        )
+
     def test_artifact_cache_flag_populates_cache(
         self, tmp_path, deck_path, quick_model, capsys
     ):

@@ -276,6 +276,20 @@ class TestPredicateProfileMemo:
         assert hier_annotate._predicate_profile("railx") == as_signal
 
 
+    def test_memo_is_bounded(self, monkeypatch):
+        from repro.core import hier_annotate
+        from repro.primitives.library import port_predicate_vector
+
+        monkeypatch.setattr(hier_annotate, "_PRED_PROFILE_MEMO", {})
+        for i in range(hier_annotate._PRED_PROFILE_MEMO_MAX + 10):
+            vector = hier_annotate._predicate_profile(f"net{i}")
+            assert vector == port_predicate_vector(f"net{i}")
+            assert (
+                len(hier_annotate._PRED_PROFILE_MEMO)
+                <= hier_annotate._PRED_PROFILE_MEMO_MAX
+            )
+
+
 def _mirror_cell_deck(n_instances: int, widths: tuple[int, ...], shared: bool):
     lines = [
         "* generated hierarchical deck",

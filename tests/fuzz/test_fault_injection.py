@@ -85,6 +85,23 @@ def test_fault_is_caught_and_shrunk_below_twenty_lines(monkeypatch):
         predicate(result.text)
 
 
+def test_ccc_annotation_fault_is_caught(monkeypatch):
+    """A CCC that loses its last claimed match diverges per CCC."""
+    from repro.primitives.matcher import annotate_components
+
+    def faulty(*args, **kwargs):
+        results = annotate_components(*args, **kwargs)
+        for result in results.values():
+            if result.matches:
+                result.matches.pop()
+                break
+        return results
+
+    monkeypatch.setattr("repro.testing.oracles.annotate_components", faulty)
+    with pytest.raises(DivergenceError, match="CCC"):
+        run_oracle("indexed_matching", _matchable_deck(), OracleContext())
+
+
 def test_campaign_files_the_shrunken_repro(monkeypatch, tmp_path):
     _install_fault(monkeypatch)
     corpus = tmp_path / "found"
