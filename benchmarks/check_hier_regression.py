@@ -1,4 +1,4 @@
-"""CI smoke check: hierarchy-scoped annotation must beat per-CCC matching.
+"""CI smoke check: hierarchy-scoped annotation keeps flat-path speed.
 
 Runs the quick-trained RF pipeline on the hierarchical phased array
 (one ``channel`` subckt definition instantiated N times) and compares
@@ -8,13 +8,15 @@ the ``post1`` (primitive annotation) stage wall-clock of three runs:
   (:func:`repro.testing.reference.per_ccc_annotate_components`);
 * ``flat`` — the production flat path, which matches each distinct CCC
   shape once;
-* ``hier`` — the ``--hier`` path, which matches each unique definition
-  once and replays the match sets onto every sibling instance.
+* ``hier`` — the ``--hier`` path, whose post1 runs that same flat
+  shape-sharing matcher; it only adds the design-tree report.
 
 ``hier`` must beat ``reference`` by at least ``--factor`` (default 2x)
-warm, and ``flat`` by at least ``FLAT_FACTOR`` (2x); the hier-over-flat
-ratio is printed.  No run uses an artifact cache: the speedups measured
-here are pure in-run dedup, not disk-cache hits.
+warm, ``flat`` must beat it by at least ``FLAT_FACTOR`` (2x), and
+``hier`` may be at most 25% slower than ``flat``
+(``hier_over_flat >= HIER_OVER_FLAT_MIN``).  No run uses an artifact
+cache: the speedups measured here are pure in-run dedup, not disk-cache
+hits.
 
 With ``--commit`` the measurement also lands in ``BENCH_runtime.json``
 under ``hier_annotation`` (the committed baseline CI compares against).
@@ -34,13 +36,17 @@ import time
 from _common import load_pipeline, per_ccc_matching, update_bench_json
 
 #: Repeated channel instances — well above the ISSUE's >= 8 floor so
-#: the per-unique-definition costs (one representative walk, one packed
-#: definition forward) amortize visibly.
+#: the per-unique-definition cost (one packed definition forward)
+#: amortizes visibly.
 N_CHANNELS = 16
 
 #: Flat post1 must beat the per-CCC reference by this factor: CCC shape
 #: sharing alone is worth more than 2x on a repeated-channel design.
 FLAT_FACTOR = 2.0
+
+#: Flat post1 over hier post1 must stay at or above this ratio: both run
+#: the same matcher, so ``--hier`` may be at most 25% slower than flat.
+HIER_OVER_FLAT_MIN = 0.8
 
 
 def measure(reps: int) -> dict:
@@ -50,16 +56,12 @@ def measure(reps: int) -> dict:
     pipeline = load_pipeline("rf")
     netlist, port_labels = phased_array_hier(n_channels=N_CHANNELS)
 
-    # Warm both paths (library match profiles, predicate memos) before
-    # timing anything, and assert byte-identity while at it.
+    # Warm both paths (library match profiles, definition summaries)
+    # before timing anything, and assert byte-identity while at it.
     flat = pipeline.run(netlist, port_labels=port_labels, name="pa_hier")
-    hier = pipeline.run(
-        netlist, port_labels=port_labels, name="pa_hier", hier=True
-    )
+    hier = pipeline.run(netlist, port_labels=port_labels, name="pa_hier", hier=True)
     if pipeline_result_fingerprint(flat) != pipeline_result_fingerprint(hier):
-        raise AssertionError(
-            "--hier produced a different annotation than the flat path"
-        )
+        raise AssertionError("--hier produced a different annotation than the flat path")
 
     def timed_post1(hier_mode: bool) -> float:
         result = pipeline.run(
@@ -87,7 +89,6 @@ def measure(reps: int) -> dict:
             hier_s = min(hier_s, timed_post1(True))
     finally:
         gc.enable()
-    report = hier.hier
     return {
         "n_channels": N_CHANNELS,
         "reference_post1_s": round(reference_s, 6),
@@ -96,10 +97,6 @@ def measure(reps: int) -> dict:
         "speedup": round(reference_s / hier_s, 3),
         "flat_speedup": round(reference_s / flat_s, 3),
         "hier_over_flat": round(flat_s / hier_s, 3),
-        "interior_cccs": report.interior,
-        "reused": report.reused,
-        "replayed": report.replayed,
-        "guard_failures": report.guard_failures,
     }
 
 
@@ -109,15 +106,13 @@ def main(argv: list[str] | None = None) -> int:
         "--factor",
         type=float,
         default=2.0,
-        help="fail when hier post1 is not FACTOR x faster than the "
-        "per-CCC reference (default 2)",
+        help="fail when hier post1 is not FACTOR x faster than the per-CCC reference (default 2)",
     )
     parser.add_argument(
         "--reps",
         type=int,
         default=5,
-        help="runs per mode; the fastest post1 of each is compared "
-        "(default 5)",
+        help="runs per mode; the fastest post1 of each is compared (default 5)",
     )
     parser.add_argument(
         "--commit",
@@ -130,16 +125,13 @@ def main(argv: list[str] | None = None) -> int:
     stats = measure(args.reps)
     elapsed = time.perf_counter() - started
     print(
-        f"hier annotation ({stats['n_channels']} channels): "
-        f"per-CCC reference post1 {stats['reference_post1_s']:.4f}s vs hier "
-        f"{stats['hier_post1_s']:.4f}s -> {stats['speedup']:.2f}x "
-        f"(gate {args.factor:.1f}x); vs flat "
+        f"hier annotation ({stats['n_channels']} channels; hier post1 runs the "
+        f"flat shape-sharing matcher): per-CCC reference post1 "
+        f"{stats['reference_post1_s']:.4f}s vs hier {stats['hier_post1_s']:.4f}s "
+        f"-> {stats['speedup']:.2f}x (gate {args.factor:.1f}x); vs flat "
         f"{stats['flat_post1_s']:.4f}s -> {stats['flat_speedup']:.2f}x "
-        f"(gate {FLAT_FACTOR:.1f}x); hier over flat "
-        f"{stats['hier_over_flat']:.2f}x (reused {stats['reused']}/"
-        f"{stats['interior_cccs']} interior CCCs, "
-        f"{stats['guard_failures']} guard failures; "
-        f"{args.reps} reps/mode in {elapsed:.1f}s)"
+        f"(gate {FLAT_FACTOR:.1f}x); hier over flat {stats['hier_over_flat']:.2f}x "
+        f"(gate {HIER_OVER_FLAT_MIN:.2f}x; {args.reps} reps/mode in {elapsed:.1f}s)"
     )
     if args.commit:
         update_bench_json("hier_annotation", stats)
@@ -150,6 +142,9 @@ def main(argv: list[str] | None = None) -> int:
         failed = True
     if stats["flat_speedup"] < FLAT_FACTOR:
         print("FAIL: flat post1 did not beat the per-CCC reference by the gate factor")
+        failed = True
+    if stats["hier_over_flat"] < HIER_OVER_FLAT_MIN:
+        print("FAIL: --hier post1 is more than 25% slower than flat post1")
         failed = True
     if failed:
         return 1

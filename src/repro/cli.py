@@ -191,15 +191,15 @@ def _result_payload(result) -> dict:
 
 
 def _report_hier_summary(result) -> None:
-    """One stderr line summarizing what ``--hier`` reused, if anything."""
+    """One stderr line summarizing the ``--hier`` design tree, if any."""
     report = getattr(result, "hier", None)
     if report is None:
         return
     print(
         f"hier: {report.n_instances} instance(s) of "
-        f"{report.n_unique_groups} unique definition(s); "
-        f"{report.reused}/{report.interior} interior CCC match sets "
-        f"reused ({report.boundary} boundary)",
+        f"{report.n_unique_groups} unique definition(s) "
+        f"({report.n_definitions} subckt definition(s), "
+        f"{len(report.definition_annotations)} summarized)",
         file=sys.stderr,
     )
 
@@ -436,9 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     elaboration.add_argument(
         "--hier",
         action="store_true",
-        help="hierarchy-scoped annotation: match each unique subckt "
-        "definition once and replay the results onto every instance "
-        "(byte-identical output, faster on repeated-instance designs)",
+        help="hierarchy-scoped annotation: report the subckt design tree "
+        "(instances, unique definitions, per-definition GCN summaries) "
+        "next to the flat annotation (byte-identical output)",
     )
     elaboration.add_argument(
         "--flat",

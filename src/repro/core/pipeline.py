@@ -135,9 +135,9 @@ class PipelineResult:
     degraded: bool = False
     degraded_reason: str | None = None
     #: Hierarchy-scoped annotation report (``--hier`` runs only):
-    #: definition/instance statistics, reuse counts, and advisory
-    #: per-definition GCN summaries.  Advisory — the annotation itself
-    #: is byte-identical to the flat path.
+    #: definition/instance counts and advisory per-definition GCN
+    #: summaries.  Advisory — the annotation itself is byte-identical
+    #: to the flat path.
     hier: "HierReport | None" = None
 
     @property
@@ -888,18 +888,7 @@ class Post1Stage:
         pipeline = ctx.pipeline
         cache = ctx.options.artifact_cache
         tree = getattr(upstream, "tree", None)
-        hier_cache = None
-        if ctx.options.hier and tree is not None and tree.instances:
-            from repro.core.hier_annotate import HierMatchCache
-
-            hier_cache = HierMatchCache(
-                tree, artifact_cache=cache, profiler=ctx.profiler
-            )
-            match_cache = hier_cache
-        else:
-            match_cache = (
-                PrimitiveMatchCache(cache) if cache is not None else None
-            )
+        match_cache = PrimitiveMatchCache(cache) if cache is not None else None
         # The CCC partition depends only on the graph/annotation, not on
         # the library — key it off the upstream (gcn) derivation key so
         # a library-only change reuses it across runs.
@@ -923,27 +912,10 @@ class Post1Stage:
         if partition is None and partition_key is not None:
             cache.store(partition_key, post1.partition)
         hier_report = None
-        if hier_cache is not None:
-            from repro.core.hier_annotate import annotate_definitions
+        if ctx.options.hier and tree is not None and tree.instances:
+            from repro.core.hier_annotate import build_hier_report
 
-            definition_annotations = ()
-            try:
-                # Advisory per-definition summaries (one packed GCN
-                # forward over the unique bodies); never allowed to
-                # fail the run — the byte-identical output path does
-                # not consume them.
-                definition_annotations = annotate_definitions(
-                    tree, pipeline.annotator, cache=cache
-                )
-            except Exception:
-                _LOG.warning(
-                    "per-definition annotation failed; continuing "
-                    "without definition summaries",
-                    exc_info=True,
-                )
-            hier_report = hier_cache.finalize(
-                definition_annotations=definition_annotations
-            )
+            hier_report = build_hier_report(tree, pipeline.annotator, cache=cache)
         return Post1Result(
             post1=post1,
             gcn_annotation=upstream.annotation,

@@ -570,8 +570,8 @@ class RunOptions:
     #: Directory every stage's artifact is written to (for a later
     #: ``run_staged(resume_from=...)``).
     save_artifacts: "str | Path | None" = None
-    #: Hierarchy-scoped annotation (``--hier``): Postprocessing I
-    #: dedupes VF2 across repeated subckt instances via the DesignTree
+    #: Hierarchy-scoped annotation (``--hier``): keep the DesignTree
+    #: sidecar and report it next to the flat annotation
     #: (byte-identical results; :mod:`repro.core.hier_annotate`).
     hier: bool = False
     #: Nest recognized blocks under their subckt instances in the
@@ -718,10 +718,7 @@ class StagedRunner:
     ) -> StagedRun:
         # A fresh run must never see rail-role answers memoized under a
         # previous deck's (possibly monkeypatched) net-name conventions.
-        from repro.core.hier_annotate import reset_predicate_profile_memo
-
         reset_power_net_memo()
-        reset_predicate_profile_memo()
         cache = ctx.options.artifact_cache
         save_dir = ctx.options.save_artifacts
 

@@ -333,10 +333,12 @@ class ArtifactCache:
     def invalidate_prefix(self, prefix: str) -> int:
         """Delete every entry whose key starts with ``prefix``.
 
-        Definition-keyed sub-entries (``hier-matches-def-<fp12>-…``)
-        make targeted invalidation possible: sweeping the prefix of one
-        definition fingerprint drops exactly that definition's shared
-        match entries and nothing else.  Returns the number removed.
+        Key families make targeted invalidation possible: the
+        ``--hier`` definition summaries live under
+        ``hier-def-ann-<annotator fp12>-<definition fp12>-…``, so
+        sweeping that prefix drops exactly one definition's summary and
+        nothing else; ``ccc-matches-`` sweeps every persisted match
+        list.  Returns the number removed.
         """
         removed = 0
         for path in self.entries():

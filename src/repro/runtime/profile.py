@@ -11,12 +11,12 @@ profile=True)`` and collects
 * **per_template** — per primitive template: VF2 launches, matches
   found, cumulative seconds, and how often the kind-histogram test
   skipped the template without launching a search;
-* **counters** — free-form event counts (channel-connected components
-  matched, ...);
-* **definitions** — hierarchy-scoped runs (``--hier``) attribute
-  Postprocessing I wall-clock per subckt definition × instance count:
-  how many CCCs each definition owned, how many were answered by
-  cross-instance match reuse, and the seconds spent.
+* **counters** — free-form event counts: channel-connected components
+  matched (``ccc_matched``), distinct CCC shapes that paid for VF2
+  (``ccc_shapes``) and CCCs that replayed an earlier shape's matches
+  (``ccc_shape_hits``) — the CCC reuse of flat and ``--hier`` runs
+  alike — and templates answered by a persisted match list
+  (``match_cache_hits``).
 
 Everything is plain ``dict``/``float``/``int`` so the profile pickles
 across the ``run_many`` process pool and serializes with
@@ -58,7 +58,6 @@ class PipelineProfiler:
     stages: dict[str, float] = field(default_factory=dict)
     templates: dict[str, TemplateStats] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
-    definitions: dict[str, dict] = field(default_factory=dict)
 
     # -- recording ---------------------------------------------------
 
@@ -101,29 +100,6 @@ class PipelineProfiler:
     def count(self, key: str, n: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + n
 
-    def record_definition(
-        self,
-        definition: str,
-        *,
-        instances: int,
-        cccs: int,
-        reused: int,
-        seconds: float,
-    ) -> None:
-        """Attribute hierarchy-scoped matching work to one definition.
-
-        Additive on re-entry (``instances`` takes the max — it is a
-        population size, not an event count).
-        """
-        stats = self.definitions.setdefault(
-            definition,
-            {"instances": 0, "cccs": 0, "reused": 0, "seconds": 0.0},
-        )
-        stats["instances"] = max(stats["instances"], instances)
-        stats["cccs"] += cccs
-        stats["reused"] += reused
-        stats["seconds"] += seconds
-
     # -- reporting ---------------------------------------------------
 
     def as_dict(self) -> dict[str, Any]:
@@ -140,21 +116,11 @@ class PipelineProfiler:
                 reverse=True,
             )
         }
-        out = {
+        return {
             "stages": {k: round(v, 6) for k, v in self.stages.items()},
             "per_template": per_template,
             "counters": dict(self.counters),
         }
-        if self.definitions:
-            out["definitions"] = {
-                name: {**stats, "seconds": round(stats["seconds"], 6)}
-                for name, stats in sorted(
-                    self.definitions.items(),
-                    key=lambda item: item[1]["seconds"],
-                    reverse=True,
-                )
-            }
-        return out
 
     def write_json(self, path: str | Path) -> Path:
         """Dump the profile to ``path`` (pretty-printed, trailing newline)."""

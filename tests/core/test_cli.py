@@ -262,6 +262,31 @@ class TestStagedFlags:
             == counters["ccc_matched"]
         )
 
+    def test_hier_json_reports_design_tree(self, quick_model, capsys):
+        """``--hier --json``: the ``hier`` block carries the design-tree
+        counts and the per-definition summaries, and stderr gets the
+        one-line summary."""
+        from pathlib import Path
+
+        deck = Path(__file__).resolve().parents[2] / "examples/netlists/ota_array.sp"
+        code = main(
+            ["annotate", str(deck), "--task", "ota",
+             "--model", str(quick_model), "--hier", "--json"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        hier = json.loads(captured.out)["hier"]
+        assert hier["n_definitions"] == 1
+        assert hier["n_instances"] == 3
+        assert hier["n_unique_groups"] == 1
+        (definition,) = hier["definitions"]
+        assert definition["definition"] == "otacell"
+        assert definition["n_instances"] == 3
+        assert (
+            "hier: 3 instance(s) of 1 unique definition(s) "
+            "(1 subckt definition(s), 1 summarized)"
+        ) in captured.err
+
     def test_artifact_cache_flag_populates_cache(
         self, tmp_path, deck_path, quick_model, capsys
     ):

@@ -1,11 +1,11 @@
 """Hierarchy-scoped annotation (ISSUE 9).
 
 Golden byte-identity: the ``--hier`` path must produce exactly the
-annotation the flat path computes on every example netlist — repeated
-instances only make it faster, never different.  Plus: the
-HierMatchCache reuse/replay machinery, definition-keyed persistence
-and invalidation, advisory per-definition GCN summaries, and the
-instance-table hierarchy mode.
+annotation the flat path computes on every example netlist.  Plus: the
+design-tree report, match entries shared with the flat path,
+definition-keyed summary persistence and invalidation, advisory
+per-definition GCN summaries, the instance-table hierarchy mode, and
+rail conventions that never outlive a run.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline import GanaPipeline
-from repro.core.stages import pipeline_result_fingerprint
+from repro.core.stages import StageName, pipeline_result_fingerprint
 from repro.datasets.systems import phased_array_hier
 from repro.runtime.cache import ArtifactCache
 from repro.spice.flatten import flatten_hierarchical
@@ -113,28 +113,38 @@ class TestHierReport:
         assert ota_pipeline.run(OTA_ARRAY_DECK).hier is None
 
     def test_reuse_on_repeated_instances(self, ota_pipeline):
-        report = ota_pipeline.run(OTA_ARRAY_DECK, hier=True).hier
+        # Repeated instances share VF2 work through the flat matcher's
+        # CCC shapes, reported by the profiler for hier and flat alike.
+        hier = ota_pipeline.run(OTA_ARRAY_DECK, hier=True, profile=True)
+        flat = ota_pipeline.run(OTA_ARRAY_DECK, profile=True)
+        report = hier.hier
         assert report is not None
+        assert report.n_definitions == 1
         assert report.n_instances == 3
         assert report.n_unique_groups == 1
-        assert report.reused > 0
-        assert report.replayed > 0
+        counters = hier.profile["counters"]
+        assert counters["ccc_shape_hits"] > 0
+        for key in ("ccc_matched", "ccc_shapes", "ccc_shape_hits"):
+            assert counters[key] == flat.profile["counters"][key]
+        # The retired replay counters are constants, always 0.
+        assert (report.interior, report.reused, report.replayed) == (0, 0, 0)
         assert report.guard_failures == 0
-        assert report.interior + report.boundary == report.cccs
-
-    def test_per_definition_attribution(self, ota_pipeline):
-        report = ota_pipeline.run(OTA_ARRAY_DECK, hier=True).hier
-        assert "otacell" in report.per_definition
-        stats = report.per_definition["otacell"]
-        assert stats["instances"] == 3
-        assert stats["reused"] > 0
 
     def test_as_dict_round_trips_counts(self, ota_pipeline):
         report = ota_pipeline.run(OTA_ARRAY_DECK, hier=True).hier
         data = report.as_dict()
-        assert data["reused"] == report.reused
-        assert data["replayed"] == report.replayed
-        assert data["per_definition"]["otacell"]["instances"] == 3
+        assert set(data) == {
+            "n_definitions",
+            "n_instances",
+            "n_unique_groups",
+            "definitions",
+        }
+        assert data["n_definitions"] == report.n_definitions
+        assert data["n_instances"] == report.n_instances
+        assert data["n_unique_groups"] == report.n_unique_groups
+        (definition,) = data["definitions"]
+        assert definition["definition"] == "otacell"
+        assert definition["n_instances"] == 3
 
     def test_flat_deck_degrades_gracefully(self, ota_pipeline):
         # No instances → the hier flag is a no-op, not an error.
@@ -145,41 +155,99 @@ class TestHierReport:
         _assert_results_equivalent(hier, flat)
 
 
-class TestDefinitionKeyedPersistence:
-    def test_warm_run_hits_persisted_entries(self, ota_pipeline, tmp_path):
+def _entry_names(cache: ArtifactCache, prefix: str) -> set[str]:
+    return {path.name for path in cache.directory.glob(f"{prefix}*")}
+
+
+class TestSharedMatchEntries:
+    """``--hier`` persists and reuses the flat path's match entries."""
+
+    def test_hier_run_writes_only_flat_match_entries(self, ota_pipeline, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
-        cold = ota_pipeline.run_staged(
-            OTA_ARRAY_DECK, hier=True, artifact_cache=cache
+        ota_pipeline.run_staged(OTA_ARRAY_DECK, hier=True, artifact_cache=cache)
+        assert _entry_names(cache, "ccc-matches-")
+        assert not _entry_names(cache, "hier-matches")
+
+    def test_hier_after_flat_takes_every_template_from_cache(self, ota_pipeline, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        flat = ota_pipeline.run_staged(OTA_ARRAY_DECK, artifact_cache=cache)
+        stored = _entry_names(cache, "ccc-matches-")
+        assert stored
+        hier = ota_pipeline.run_staged(
+            OTA_ARRAY_DECK, hier=True, artifact_cache=cache, profile=True
         )
-        # Force post1 to recompute while keeping the persisted match
-        # entries: drop everything except the hier-matches entries
+        # The post1 stage key includes ``hier``: post1 recomputes.
+        assert StageName.POST1 not in hier.cache_hits
+        counters = hier.profile()["counters"]
+        n_templates = len(ota_pipeline.library.by_size_desc())
+        assert counters["match_cache_hits"] == counters["ccc_matched"] * n_templates
+        assert _entry_names(cache, "ccc-matches-") == stored
+        hier_fp = pipeline_result_fingerprint(ota_pipeline.result_from_staged(hier))
+        assert hier_fp == pipeline_result_fingerprint(ota_pipeline.result_from_staged(flat))
+
+
+class TestDefinitionKeyedPersistence:
+    """Definition summaries persist under definition-fingerprint keys."""
+
+    @staticmethod
+    def _summary_prefix(pipeline, deck: str) -> str:
+        from repro.core.stages import annotator_fingerprint
+
+        _flat, tree = flatten_hierarchical(parse_netlist(deck))
+        ann_fp = annotator_fingerprint(pipeline.annotator)
+        fp = tree.definitions["otacell"].fingerprint
+        return f"hier-def-ann-{ann_fp[:12]}-{fp[:12]}"
+
+    def test_warm_run_hits_persisted_entries(self, ota_pipeline, tmp_path, monkeypatch):
+        import importlib
+
+        from repro.core import hier_annotate as ha
+
+        preprocess = importlib.import_module("repro.spice.preprocess")
+        # An in-process memo hit would bypass the disk cache both ways.
+        monkeypatch.setattr(ha, "_DEF_ANN_MEMO", {})
+        cache = ArtifactCache(tmp_path / "cache")
+        cold = ota_pipeline.run_staged(OTA_ARRAY_DECK, hier=True, artifact_cache=cache)
+        # Force post1 to recompute while keeping the persisted entries:
+        # drop everything except match lists and definition summaries
         # (stage-artifact keys are bare content hashes).
         removed = 0
         for path in cache.directory.glob("*.pkl"):
-            if not path.name.startswith("hier-matches"):
+            if not path.name.startswith(("ccc-matches-", "hier-def-ann-")):
                 path.unlink()
                 removed += 1
         assert removed > 0
-        warm = ota_pipeline.run_staged(
-            OTA_ARRAY_DECK, hier=True, artifact_cache=cache
+        monkeypatch.setattr(ha, "_DEF_ANN_MEMO", {})
+        # The pipeline binds ``preprocess`` at import; only definition
+        # bodies still look it up here, so this counts summary forwards.
+        bodies = []
+        real_preprocess = preprocess.preprocess
+        monkeypatch.setattr(
+            preprocess, "preprocess", lambda body: bodies.append(body) or real_preprocess(body)
         )
-        report = warm.final.hier
-        assert report.persisted_hits > 0
-        assert pipeline_result_fingerprint(
-            ota_pipeline.result_from_staged(warm)
-        ) == pipeline_result_fingerprint(ota_pipeline.result_from_staged(cold))
+        warm = ota_pipeline.run_staged(
+            OTA_ARRAY_DECK, hier=True, artifact_cache=cache, profile=True
+        )
+        assert not bodies, "definition summaries came from the cache"
+        assert warm.profile()["counters"]["match_cache_hits"] > 0
+        assert warm.final.hier.definition_annotations == cold.final.hier.definition_annotations
+        warm_fp = pipeline_result_fingerprint(ota_pipeline.result_from_staged(warm))
+        assert warm_fp == pipeline_result_fingerprint(ota_pipeline.result_from_staged(cold))
 
-    def test_invalidate_one_definition(self, ota_pipeline, tmp_path):
+    def test_invalidate_one_definition(self, ota_pipeline, tmp_path, monkeypatch):
+        from repro.core import hier_annotate as ha
+
+        monkeypatch.setattr(ha, "_DEF_ANN_MEMO", {})
         cache = ArtifactCache(tmp_path / "cache")
         ota_pipeline.run_staged(OTA_ARRAY_DECK, hier=True, artifact_cache=cache)
-        _flat, tree = flatten_hierarchical(parse_netlist(OTA_ARRAY_DECK))
-        fp = tree.definitions["otacell"].fingerprint
-        prefix = f"hier-matches-def-{fp[:12]}"
-        entries = list(cache.directory.glob(f"{prefix}*"))
+        prefix = self._summary_prefix(ota_pipeline, OTA_ARRAY_DECK)
+        entries = _entry_names(cache, prefix)
         assert entries, "definition-scoped entries were persisted"
+        matches = _entry_names(cache, "ccc-matches-")
         removed = cache.invalidate_prefix(prefix)
         assert removed == len(entries)
-        assert not list(cache.directory.glob(f"{prefix}*"))
+        assert not _entry_names(cache, prefix)
+        assert _entry_names(cache, "ccc-matches-") == matches
 
     def test_body_edit_changes_entry_keys(self, tmp_path):
         edited = OTA_ARRAY_DECK.replace("w=2u", "w=3u")
@@ -236,9 +304,7 @@ class TestHierTreeMode:
             assert node.block_class == "otacell"
             assert node.children, "recognized blocks hang under the instance"
         # The glue mirror is not inside any instance: stays at the root.
-        assert any(
-            "mglue" in n.all_devices() for n in result.hierarchy.children
-        )
+        assert any("mglue" in n.all_devices() for n in result.hierarchy.children)
 
     def test_hier_tree_implies_hier(self, ota_pipeline):
         result = ota_pipeline.run(OTA_ARRAY_DECK, hier_tree=True)
@@ -248,46 +314,53 @@ class TestHierTreeMode:
         flat = ota_pipeline.run(HIERARCHICAL_DECK)
         nested = ota_pipeline.run(HIERARCHICAL_DECK, hier_tree=True)
         assert nested.hierarchy.all_devices() == flat.hierarchy.all_devices()
-        assert (
-            nested.annotation.element_classes == flat.annotation.element_classes
-        )
+        assert nested.annotation.element_classes == flat.annotation.element_classes
 
 
-class TestPredicateProfileMemo:
-    """The port-predicate memo reads the rail regexes, so every run
-    resets it together with the ``is_power_net`` memo: a vector
-    computed under other rail conventions must not outlive them."""
+#: One cell instance powered from ``vdd!``, one from ``railx``: under
+#: the default rail conventions their CCCs differ only in the rail's
+#: port-predicate vector, so they must not share match lists.
+RAILX_DECK = """
+* one cell on vdd!, one on a rail named railx
+.global vdd! gnd!
+.subckt cell inp out rail
+m0 out inp rail rail pmos w=2u l=100n
+m1 out inp gnd! gnd! nmos w=1u l=100n
+m2 o2 out rail rail pmos w=2u l=100n
+m3 o2 out gnd! gnd! nmos w=1u l=100n
+.ends
+x0 a0 b0 railx cell
+x1 a1 b1 vdd! cell
+.end
+"""
 
-    def test_run_drops_vectors_of_old_conventions(self, ota_pipeline, monkeypatch):
+
+class TestRailConventionsPerRun:
+    """Port predicates read the module-level rail regexes: a run under
+    other rail conventions must leave nothing behind for the next run
+    — no process-wide memo may keep rail vectors across runs."""
+
+    @pytest.mark.parametrize("hier", [True, False], ids=["hier", "flat"])
+    def test_patched_supply_regex_does_not_leak(self, ota_pipeline, monkeypatch, hier):
         import re
 
-        from repro.core import hier_annotate
         from repro.spice import netlist
 
-        # Predicates in sorted order: bias, ground, power, signal, supply.
-        as_supply = (False, False, True, False, True)
-        as_signal = (False, False, False, True, False)
-        hier_annotate._PRED_PROFILE_MEMO.pop("railx", None)
-        netlist.reset_power_net_memo()
-        monkeypatch.setattr(netlist, "SUPPLY_NET_RE", re.compile(r"^railx$", re.IGNORECASE))
-        assert hier_annotate._predicate_profile("railx") == as_supply
+        def run() -> tuple[str, int]:
+            result = ota_pipeline.run(RAILX_DECK, hier=hier, profile=True)
+            return pipeline_result_fingerprint(result), result.profile["counters"]["ccc_shapes"]
+
+        unpatched = run()
+        # The default supply names plus ``railx``: all four inverters are
+        # then one CCC shape, which a rail vector kept from the unpatched
+        # run would split in two.
+        railx_supply = re.compile(r"^(railx|vdd|vcc|avdd|dvdd|vddd|vdda)[!]?\d*$", re.IGNORECASE)
+        monkeypatch.setattr(netlist, "SUPPLY_NET_RE", railx_supply)
+        patched_fp, patched_shapes = run()
+        assert patched_fp != unpatched[0], "railx as a supply changes the annotation"
+        assert patched_shapes == 1
         monkeypatch.undo()
-        ota_pipeline.run(OTA_ARRAY_DECK, hier=True)
-        assert hier_annotate._predicate_profile("railx") == as_signal
-
-
-    def test_memo_is_bounded(self, monkeypatch):
-        from repro.core import hier_annotate
-        from repro.primitives.library import port_predicate_vector
-
-        monkeypatch.setattr(hier_annotate, "_PRED_PROFILE_MEMO", {})
-        for i in range(hier_annotate._PRED_PROFILE_MEMO_MAX + 10):
-            vector = hier_annotate._predicate_profile(f"net{i}")
-            assert vector == port_predicate_vector(f"net{i}")
-            assert (
-                len(hier_annotate._PRED_PROFILE_MEMO)
-                <= hier_annotate._PRED_PROFILE_MEMO_MAX
-            )
+        assert run() == unpatched
 
 
 def _mirror_cell_deck(n_instances: int, widths: tuple[int, ...], shared: bool):

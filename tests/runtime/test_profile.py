@@ -73,37 +73,6 @@ class TestTemplateStats:
         assert profiler.counters == {"cccs": 4}
 
 
-class TestRecordDefinition:
-    def test_single_record(self):
-        profiler = PipelineProfiler()
-        profiler.record_definition(
-            "ota_cell", instances=4, cccs=2, reused=1, seconds=0.5
-        )
-        assert profiler.definitions["ota_cell"] == {
-            "instances": 4,
-            "cccs": 2,
-            "reused": 1,
-            "seconds": 0.5,
-        }
-
-    def test_instances_take_max_other_fields_add(self):
-        # instances is a population size (how many copies exist), the
-        # rest are event counts — re-recording must not double-count
-        # the population.
-        profiler = PipelineProfiler()
-        profiler.record_definition(
-            "cell", instances=4, cccs=2, reused=1, seconds=0.25
-        )
-        profiler.record_definition(
-            "cell", instances=3, cccs=1, reused=2, seconds=0.25
-        )
-        stats = profiler.definitions["cell"]
-        assert stats["instances"] == 4
-        assert stats["cccs"] == 3
-        assert stats["reused"] == 3
-        assert stats["seconds"] == pytest.approx(0.5)
-
-
 class TestReporting:
     def test_templates_sorted_by_seconds_descending(self):
         profiler = PipelineProfiler()
@@ -119,26 +88,13 @@ class TestReporting:
     def test_definitions_key_absent_when_flat_run(self):
         profiler = PipelineProfiler()
         profiler.record_stage("gcn", 0.1)
-        assert "definitions" not in profiler.as_dict()
-
-    def test_definitions_sorted_by_seconds_descending(self):
-        profiler = PipelineProfiler()
-        profiler.record_definition(
-            "cold", instances=1, cccs=1, reused=0, seconds=0.1
-        )
-        profiler.record_definition(
-            "hot", instances=2, cccs=4, reused=2, seconds=1.5
-        )
-        assert list(profiler.as_dict()["definitions"]) == ["hot", "cold"]
+        assert set(profiler.as_dict()) == {"stages", "per_template", "counters"}
 
     def test_write_json_round_trips(self, tmp_path):
         profiler = PipelineProfiler()
         profiler.record_stage(StageName.POST1, 0.123456789)
         profiler.record_template("DP-N", 0.1, matches=2)
         profiler.count("components", 2)
-        profiler.record_definition(
-            "cell", instances=2, cccs=1, reused=1, seconds=0.2
-        )
         out = profiler.write_json(tmp_path / "profile.json")
         loaded = json.loads(out.read_text())
         assert loaded == profiler.as_dict()
