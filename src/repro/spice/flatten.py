@@ -26,11 +26,11 @@ per call site.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ElaborationError
 from repro.runtime.cache import Memo
-from repro.spice.netlist import Circuit, Netlist, is_power_net
+from repro.spice.netlist import Circuit, DeviceKind, Netlist, is_power_net
 
 #: Separator between instance path components in flattened names.
 SEP = "/"
@@ -193,11 +193,16 @@ def _flatten_into(
         return f"{prefix}{net}" if prefix else net
 
     for dev in circuit.devices:
-        local_map = {n: resolve(n) for n in dev.nets}
-        renamed = dev.renamed(f"{prefix}{dev.name}", local_map)
+        # Callers enter at prefix "" only with an identity port map, so
+        # there resolve() is the identity and the frozen card passes
+        # through unchanged (a flat deck is flattened without copies).
+        if prefix:
+            dev = dev.renamed(
+                f"{prefix}{dev.name}", {n: resolve(n) for _, n in dev.pins}
+            )
         if multiplier != 1.0:
-            renamed = _apply_multiplier(renamed, multiplier)
-        out.add(renamed)
+            dev = _apply_multiplier(dev, multiplier)
+        out.add(dev)
 
     for inst in circuit.instances:
         try:
@@ -264,10 +269,6 @@ def _apply_multiplier(dev, multiplier: float):
     value up; resistors and inductors scale down (parallel combination)
     — the standard SPICE semantics of subcircuit multipliers.
     """
-    from dataclasses import replace
-
-    from repro.spice.netlist import DeviceKind
-
     if dev.kind.is_transistor:
         base = dev.param("m", 1.0) or 1.0
         params = tuple(

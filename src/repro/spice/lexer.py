@@ -5,9 +5,8 @@ clean logical lines:
 
 * ``+`` continuation lines are joined to their predecessor,
 * ``*`` full-line comments and ``$``/``;`` trailing comments are dropped,
-* everything is lower-cased (SPICE is case-insensitive) except nothing —
-  we lower-case uniformly because net/device identity in this package is
-  case-insensitive, matching common simulators,
+* every token is lower-cased: SPICE is case-insensitive, and so is
+  net and device identity in this package, as in common simulators,
 * ``name=value`` parameter tokens are kept as single tokens.
 
 Each :class:`LogicalLine` records the 1-based physical line span it was
@@ -22,13 +21,13 @@ aborting the whole deck on the first bad character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from typing import NamedTuple
 
 from repro.exceptions import SpiceSyntaxError
 
 
-@dataclass(frozen=True)
-class LogicalLine:
+class LogicalLine(NamedTuple):
     """One continuation-joined, comment-stripped SPICE statement."""
 
     number: int  # 1-based line number of the first physical line
@@ -46,13 +45,12 @@ class LogicalLine:
         return self.end_number or self.number
 
 
-def _strip_comment(line: str) -> str:
-    """Remove ``$`` and ``;`` trailing comments."""
-    for marker in ("$", ";"):
-        idx = line.find(marker)
-        if idx >= 0:
-            line = line[:idx]
-    return line
+#: ``$`` and ``;`` start a trailing comment.
+_COMMENT_RE = re.compile(r"[$;]")
+
+#: An ``=`` at a token's edge or beside another ``=``.  Without one, a
+#: plain whitespace split already yields one token per assignment.
+_LOOSE_EQUALS_RE = re.compile(r"(?<!\S)=|=(?!\S)|==")
 
 
 def _tokenize(line: str) -> list[str]:
@@ -61,11 +59,13 @@ def _tokenize(line: str) -> list[str]:
     SPICE permits spaces around ``=`` in parameter assignments; the
     parser is simpler if each assignment is exactly one token.
     Waveform parentheses (``SIN(0 1 1G)``) act as plain separators so
-    the shape keyword and its numbers tokenize individually.
+    the shape keyword and its numbers tokenize individually.  The line
+    is lower-cased once here, so the tokens come out lower-case.
     """
-    raw = (
-        line.replace("(", " ").replace(")", " ").replace("=", " = ").split()
-    )
+    lowered = line.lower().replace("(", " ").replace(")", " ")
+    if "=" not in lowered or not _LOOSE_EQUALS_RE.search(lowered):
+        return lowered.split()
+    raw = lowered.replace("=", " = ").split()
     tokens: list[str] = []
     i = 0
     while i < len(raw):
@@ -84,32 +84,14 @@ def _tokenize(line: str) -> list[str]:
     return tokens
 
 
-@dataclass
-class _Pending:
-    """A logical line being assembled across continuation lines."""
-
-    number: int
-    tokens: list[str]
-    end_number: int = field(default=0)
-
-    def finish(self) -> LogicalLine:
-        return LogicalLine(
-            self.number,
-            tuple(t.lower() for t in self.tokens),
-            end_number=self.end_number or self.number,
-        )
-
-
 def lex(text: str, diagnostics: list | None = None) -> list[LogicalLine]:
     """Tokenize a SPICE deck into logical lines.
 
-    The first line of a SPICE deck is traditionally a title; it is kept
-    as a logical line with card ``.title`` unless it already starts with
-    a dot directive, a comment, or a device letter followed by valid
-    syntax — we adopt the simple, predictable rule that a *title line is
-    only assumed when the first line starts with neither a dot, a
-    letter-digit device pattern, nor a comment*.  In practice all decks
-    in this package begin with ``* comment`` or ``.title``.
+    The first line of a SPICE deck is traditionally a free-text title,
+    but no title line is assumed here: every line is a card.  A deck's
+    title must be a ``*`` comment (dropped) or a ``.title`` card; a
+    bare first line such as ``My amplifier`` is read as a device card
+    and fails to parse.
 
     With ``diagnostics`` given (a list), tokenization errors on a
     physical line are recorded there and the line is skipped — lenient
@@ -118,7 +100,9 @@ def lex(text: str, diagnostics: list | None = None) -> list[LogicalLine]:
     """
     physical = text.splitlines()
     logical: list[LogicalLine] = []
-    pending: _Pending | None = None
+    # The card being assembled across continuation lines, if any.
+    pending: list[str] | None = None
+    first = last = 0
 
     def tokens_of(fragment: str, number: int) -> list[str] | None:
         try:
@@ -135,9 +119,10 @@ def lex(text: str, diagnostics: list | None = None) -> list[LogicalLine]:
         stripped = line.strip()
         if not stripped or stripped.startswith("*"):
             continue
-        stripped = _strip_comment(stripped).strip()
-        if not stripped:
-            continue
+        if "$" in stripped or ";" in stripped:
+            stripped = _COMMENT_RE.split(stripped, 1)[0].strip()
+            if not stripped:
+                continue
         if stripped.startswith("+"):
             if pending is None:
                 error = SpiceSyntaxError(
@@ -153,15 +138,15 @@ def lex(text: str, diagnostics: list | None = None) -> list[LogicalLine]:
                 continue
             extra = tokens_of(stripped[1:], number)
             if extra is not None:
-                pending.tokens.extend(extra)
-                pending.end_number = number
+                pending.extend(extra)
+                last = number
             continue
         if pending is not None:
-            logical.append(pending.finish())
+            logical.append(LogicalLine(first, tuple(pending), last))
             pending = None
         tokens = tokens_of(stripped, number)
         if tokens:
-            pending = _Pending(number=number, tokens=tokens)
+            pending, first, last = tokens, number, number
     if pending is not None:
-        logical.append(pending.finish())
+        logical.append(LogicalLine(first, tuple(pending), last))
     return logical

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.exceptions import ElaborationError
@@ -83,15 +83,19 @@ class DeviceKind(enum.Enum):
 
     @property
     def is_transistor(self) -> bool:
-        return self in (DeviceKind.NMOS, DeviceKind.PMOS)
+        return self is DeviceKind.NMOS or self is DeviceKind.PMOS
 
     @property
     def is_passive(self) -> bool:
-        return self in (DeviceKind.RESISTOR, DeviceKind.CAPACITOR, DeviceKind.INDUCTOR)
+        return (
+            self is DeviceKind.RESISTOR
+            or self is DeviceKind.CAPACITOR
+            or self is DeviceKind.INDUCTOR
+        )
 
     @property
     def is_source(self) -> bool:
-        return self in (DeviceKind.VSOURCE, DeviceKind.ISOURCE)
+        return self is DeviceKind.VSOURCE or self is DeviceKind.ISOURCE
 
 
 #: Terminal names per device kind, in pin order.
@@ -125,8 +129,10 @@ class Device:
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        # Every construction checks the terminal order, so readers may
+        # take pins by position: d/g/s/b for MOS, p/n otherwise.
         expected = TERMINALS[self.kind]
-        got = tuple(t for t, _ in self.pins)
+        got = tuple([t for t, _ in self.pins])
         if got != expected:
             raise ValueError(
                 f"device {self.name}: expected terminals {expected}, got {got}"
@@ -152,8 +158,8 @@ class Device:
 
     def renamed(self, name: str, net_map: dict[str, str]) -> "Device":
         """Copy with a new name and nets remapped through ``net_map``."""
-        new_pins = tuple((t, net_map.get(n, n)) for t, n in self.pins)
-        return replace(self, name=name, pins=new_pins)
+        pins = tuple([(t, net_map.get(n, n)) for t, n in self.pins])
+        return Device(name, self.kind, pins, self.value, self.model, self.params)
 
 
 @dataclass(frozen=True)
@@ -166,9 +172,8 @@ class Instance:
     params: tuple[tuple[str, float], ...] = ()
 
     def renamed(self, name: str, net_map: dict[str, str]) -> "Instance":
-        return replace(
-            self, name=name, nets=tuple(net_map.get(n, n) for n in self.nets)
-        )
+        nets = tuple(net_map.get(n, n) for n in self.nets)
+        return Instance(name, self.subckt, nets, self.params)
 
 
 @dataclass
@@ -203,10 +208,6 @@ class Circuit:
             for net in inst.nets:
                 seen.setdefault(net, None)
         return tuple(seen)
-
-    @property
-    def device_names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.devices)
 
     def device(self, name: str) -> Device:
         """Look up a device by name; raises KeyError if absent."""
@@ -251,10 +252,6 @@ class Netlist:
     def define(self, circuit: Circuit) -> None:
         """Register a subcircuit definition (case-insensitive name)."""
         self.subckts[circuit.name.lower()] = circuit
-
-    def total_devices(self) -> int:
-        """Leaf-device count of the *unexpanded* deck (top level only)."""
-        return len(self.top.devices)
 
 
 def make_mos(

@@ -33,7 +33,7 @@ import re
 from repro.exceptions import SpiceSyntaxError
 from repro.spice.lexer import LogicalLine, lex
 from repro.spice.netlist import Circuit, Device, DeviceKind, Instance, Netlist
-from repro.spice.units import is_spice_number, parse_spice_number
+from repro.spice.units import parse_spice_number
 
 _PMOS_NAME_RE = re.compile(r"^(p|.*p(mos|ch|fet))", re.IGNORECASE)
 _NMOS_NAME_RE = re.compile(r"^(n|.*n(mos|ch|fet))", re.IGNORECASE)
@@ -46,26 +46,54 @@ _IGNORED_CARDS = frozenset(
 )
 
 
-def _resolve_value(raw: str, table: dict[str, float] | None) -> float | None:
-    """Numeric literal, ``{name}``/``'name'`` reference, or bare name."""
-    if is_spice_number(raw):
-        return parse_spice_number(raw)
-    if table is None:
-        return None
-    name = raw.strip("{}'").lower()
-    return table.get(name)
+def _literal(raw: str, literals: dict[str, float | None]) -> float | None:
+    """``raw`` as a SPICE number, or None if it is not one.
+
+    Parsed at most once per deck through ``literals``, which holds
+    literal parses only, never ``.param`` lookups.
+    """
+    try:
+        return literals[raw]
+    except KeyError:
+        pass
+    try:
+        value = parse_spice_number(raw)
+    except SpiceSyntaxError:
+        value = None
+    literals[raw] = value
+    return value
+
+
+class _ParserState:
+    """Mutable state threaded through the card handlers."""
+
+    def __init__(self) -> None:
+        self.netlist = Netlist()
+        self.stack: list[Circuit] = [self.netlist.top]
+        self.param_table: dict[str, float] = {}
+        #: Raw token → literal parse (None: not a number), this parse only.
+        self.literals: dict[str, float | None] = {}
+
+    @property
+    def scope(self) -> Circuit:
+        return self.stack[-1]
 
 
 def _split_params(
-    tokens: tuple[str, ...], table: dict[str, float] | None = None
+    tokens: tuple[str, ...],
+    state: _ParserState,
+    table: dict[str, float] | None = None,
 ) -> tuple[list[str], list[tuple[str, float]]]:
     """Separate positional tokens from trailing ``k=v`` parameter tokens.
 
     Values may be numeric literals or references to ``.param``
     definitions (``w={wbig}``, ``w='wbig'``, or ``w=wbig``); references
-    resolve through ``table``.  Unresolvable expressions are dropped —
-    recognition only uses numeric geometry.
+    resolve through ``table`` (default: the deck's ``.param`` table).
+    Unresolvable expressions are dropped — recognition only uses
+    numeric geometry.
     """
+    if table is None:
+        table = state.param_table
     positional: list[str] = []
     params: list[tuple[str, float]] = []
     for token in tokens:
@@ -76,25 +104,14 @@ def _split_params(
                     f"malformed parameter {token!r}",
                     hint="parameters are written name=value",
                 )
-            value = _resolve_value(raw, table)
+            value = _literal(raw, state.literals)
+            if value is None:
+                value = table.get(raw.strip("{}'"))
             if value is not None:
-                params.append((key.lower(), value))
+                params.append((key, value))
         else:
             positional.append(token)
     return positional, params
-
-
-class _ParserState:
-    """Mutable state threaded through the card handlers."""
-
-    def __init__(self) -> None:
-        self.netlist = Netlist()
-        self.stack: list[Circuit] = [self.netlist.top]
-        self.param_table: dict[str, float] = {}
-
-    @property
-    def scope(self) -> Circuit:
-        return self.stack[-1]
 
 
 def _mos_kind(model: str, models: dict[str, DeviceKind]) -> DeviceKind:
@@ -113,7 +130,7 @@ def _mos_kind(model: str, models: dict[str, DeviceKind]) -> DeviceKind:
 
 
 def _parse_mos(line: LogicalLine, state: _ParserState) -> Device:
-    positional, params = _split_params(line.tokens, state.param_table)
+    positional, params = _split_params(line.tokens, state)
     if len(positional) < 6:
         raise SpiceSyntaxError(
             f"MOS card needs name + 4 nets + model, got {positional}",
@@ -134,7 +151,7 @@ def _parse_mos(line: LogicalLine, state: _ParserState) -> Device:
 def _parse_two_terminal(
     line: LogicalLine, kind: DeviceKind, state: _ParserState
 ) -> Device:
-    positional, params = _split_params(line.tokens, state.param_table)
+    positional, params = _split_params(line.tokens, state)
     if len(positional) < 3:
         raise SpiceSyntaxError(
             f"{kind.value} card needs name + 2 nets, got {positional}",
@@ -150,17 +167,19 @@ def _parse_two_terminal(
     i = 0
     while i < len(extras):
         token = extras[i]
-        if token == "dc" and i + 1 < len(extras) and is_spice_number(extras[i + 1]):
-            value = parse_spice_number(extras[i + 1])
-            i += 2
-        elif is_spice_number(token):
+        if token == "dc" and i + 1 < len(extras):
+            dc_value = _literal(extras[i + 1], state.literals)
+            if dc_value is not None:
+                value = dc_value
+                i += 2
+                continue
+        number = _literal(token, state.literals)
+        if number is not None:
             if value is None:
-                value = parse_spice_number(token)
-            i += 1
-        else:
-            if model is None:
-                model = token
-            i += 1
+                value = number
+        elif model is None:
+            model = token
+        i += 1
     for key, val in params:
         if key in ("r", "c", "l") and value is None:
             value = val
@@ -179,7 +198,7 @@ def _parse_two_terminal(
 
 
 def _parse_instance(line: LogicalLine, state: _ParserState) -> Instance:
-    positional, params = _split_params(line.tokens, state.param_table)
+    positional, params = _split_params(line.tokens, state)
     if len(positional) < 2:
         raise SpiceSyntaxError(
             f"X card needs name + subckt, got {positional}",
@@ -214,7 +233,7 @@ def _parse_model(line: LogicalLine, state: _ParserState) -> None:
 
 
 def _parse_subckt_header(line: LogicalLine, state: _ParserState) -> None:
-    positional, _params = _split_params(line.tokens)
+    positional, _params = _split_params(line.tokens, state)
     if len(positional) < 2:
         raise SpiceSyntaxError(
             ".subckt needs a name",
@@ -374,10 +393,13 @@ def parse_netlist(
             guarded(lambda ln: _parse_model(ln, state), line)
         elif line.card == ".param":
             def first_pass_param(ln: LogicalLine) -> None:
-                _positional, params = _split_params(
-                    ln.tokens[1:], state.param_table
-                )
-                state.param_table.update(dict(params))
+                # Left to right, so ``.param a=2u b={a}`` resolves ``b``;
+                # a malformed token still drops the whole card.
+                table = dict(state.param_table)
+                for token in ln.tokens[1:]:
+                    _positional, params = _split_params((token,), state, table)
+                    table.update(params)
+                state.param_table = table
 
             guarded(first_pass_param, line)
 

@@ -48,6 +48,20 @@ class PreprocessReport:
         return {name for name, _reason in self.removed}
 
 
+def _name_order(dev: Device) -> tuple[int, str]:
+    """Merge survivor order: the shortest (base) name, then the name."""
+    return len(dev.name), dev.name
+
+
+def _dgsb(dev: Device) -> tuple[str, str, str, str]:
+    """A transistor's drain, gate, source and body nets, by position.
+
+    ``Device.__post_init__`` guarantees the d/g/s/b terminal order.
+    """
+    (_, drain), (_, gate), (_, source), (_, body) = dev.pins
+    return drain, gate, source, body
+
+
 def _is_dummy_transistor(dev: Device) -> bool:
     """Dummy devices added for layout matching, never conducting.
 
@@ -55,12 +69,11 @@ def _is_dummy_transistor(dev: Device) -> bool:
     the gate hard-tied to the rail that keeps the channel off (NMOS gate
     at ground, PMOS gate at supply) with drain or source also on a rail.
     """
-    pins = dev.pin_map
-    if pins["d"] == pins["s"]:
+    drain, gate, source, _body = _dgsb(dev)
+    if drain == source:
         return True
-    gate = pins["g"]
     off_rail = is_ground_net(gate) if dev.kind is DeviceKind.NMOS else is_supply_net(gate)
-    if off_rail and (is_power_net(pins["d"]) or is_power_net(pins["s"])):
+    if off_rail and (is_power_net(drain) or is_power_net(source)):
         return True
     return False
 
@@ -69,7 +82,7 @@ def _is_decap(dev: Device) -> bool:
     """A capacitor strapped directly between power rails."""
     if dev.kind is not DeviceKind.CAPACITOR:
         return False
-    pos, neg = dev.pin_map["p"], dev.pin_map["n"]
+    (_, pos), (_, neg) = dev.pins
     return is_power_net(pos) and is_power_net(neg) and pos != neg
 
 
@@ -79,26 +92,22 @@ def _merge_parallel_mos(devices: list[Device], report: PreprocessReport) -> list
     The survivor keeps the first device's name and geometry with the
     multiplier ``m`` summed, mirroring how designers express sizing.
     """
-    groups: dict[tuple, list[Device]] = defaultdict(list)
-    order: list[tuple] = []
+    groups: dict[tuple, list[Device]] = {}
     for dev in devices:
         if dev.kind.is_transistor:
-            key = (dev.kind, dev.model, tuple(sorted(dev.pin_map.items())))
+            key = (dev.kind, dev.model, dev.pins)
         else:
             key = ("__unique__", dev.name)
-        if key not in groups:
-            order.append(key)
-        groups[key].append(dev)
+        groups.setdefault(key, []).append(dev)
 
     merged: list[Device] = []
-    for key in order:
-        members = groups[key]
+    for members in groups.values():
+        if len(members) == 1:
+            merged.append(members[0])
+            continue
         # Survivor: the shortest (base) name, so derived names from
         # sizing splits never outlive their original.
-        first = min(members, key=lambda d: (len(d.name), d.name))
-        if len(members) == 1:
-            merged.append(first)
-            continue
+        first = min(members, key=_name_order)
         total_m = sum(d.param("m", 1.0) or 1.0 for d in members)
         params = tuple(
             (k, total_m if k == "m" else v) for k, v in first.params
@@ -121,24 +130,21 @@ def _merge_parallel_passives(
 
     Capacitors sum; resistors and inductors combine as parallel values.
     """
-    groups: dict[tuple, list[Device]] = defaultdict(list)
-    order: list[tuple] = []
+    groups: dict[tuple, list[Device]] = {}
     for dev in devices:
         if dev.kind.is_passive:
-            key = (dev.kind, frozenset((dev.pin_map["p"], dev.pin_map["n"])))
+            (_, pos), (_, neg) = dev.pins
+            key = (dev.kind, frozenset((pos, neg)))
         else:
             key = ("__unique__", dev.name)
-        if key not in groups:
-            order.append(key)
-        groups[key].append(dev)
+        groups.setdefault(key, []).append(dev)
 
     merged: list[Device] = []
-    for key in order:
-        members = groups[key]
-        first = min(members, key=lambda d: (len(d.name), d.name))
+    for members in groups.values():
         if len(members) == 1:
-            merged.append(first)
+            merged.append(members[0])
             continue
+        first = min(members, key=_name_order)
         values = [d.value for d in members if d.value]
         if first.kind is DeviceKind.CAPACITOR:
             value = sum(values) if values else first.value
@@ -152,14 +158,6 @@ def _merge_parallel_passives(
     return merged
 
 
-def _net_degrees(devices: list[Device]) -> dict[str, int]:
-    degrees: dict[str, int] = defaultdict(int)
-    for dev in devices:
-        for net in set(dev.nets):
-            degrees[net] += 1
-    return degrees
-
-
 def _merge_series_mos(
     devices: list[Device], ports: tuple[str, ...], report: PreprocessReport
 ) -> list[Device]:
@@ -169,7 +167,15 @@ def _merge_series_mos(
     joined drain-to-source through internal nets touched by nothing
     else.  The survivor's ``l`` is the sum of the members' lengths.
     """
-    degrees = _net_degrees(devices)
+    # Devices touching each net through ANY terminal or device kind — a
+    # stack-internal node must belong to the stack alone (a resistor
+    # hanging off the junction makes it a real circuit node).
+    degrees: dict[str, int] = defaultdict(int)
+    touchers: dict[str, set[str]] = defaultdict(set)
+    for dev in devices:
+        for net in {n for _, n in dev.pins}:
+            degrees[net] += 1
+            touchers[net].add(dev.name)
     port_set = set(ports)
 
     def is_internal(net: str) -> bool:
@@ -181,8 +187,8 @@ def _merge_series_mos(
     # adjacency: internal net -> the two transistors whose d/s touch it
     net_to_ds: dict[str, list[str]] = defaultdict(list)
     for dev in by_name.values():
-        for term in ("d", "s"):
-            net = dev.pin_map[term]
+        drain, _gate, source, _body = _dgsb(dev)
+        for net in (drain, source):
             if is_internal(net):
                 net_to_ds[net].append(dev.name)
 
@@ -203,18 +209,18 @@ def _merge_series_mos(
         if len(names) != 2:
             continue
         a, b = by_name[names[0]], by_name[names[1]]
+        a_d, a_g, a_s, a_b = _dgsb(a)
+        b_d, b_g, b_s, b_b = _dgsb(b)
         # A stack joins the *drain* of one device to the *source* of the
         # other; two devices sharing only their sources (a differential
         # pair) or only their drains are not in series.
-        series = (a.pin_map["d"] == net and b.pin_map["s"] == net) or (
-            a.pin_map["s"] == net and b.pin_map["d"] == net
-        )
+        series = (a_d == net and b_s == net) or (a_s == net and b_d == net)
         if (
             series
             and a.kind is b.kind
             and a.model == b.model
-            and a.pin_map["g"] == b.pin_map["g"]
-            and a.pin_map["b"] == b.pin_map["b"]
+            and a_g == b_g
+            and a_b == b_b
         ):
             union(a.name, b.name)
 
@@ -222,44 +228,29 @@ def _merge_series_mos(
     for name, dev in by_name.items():
         clusters[find(name)].append(dev)
 
-    # Who touches each net through ANY terminal or device kind — a
-    # stack-internal node must belong to the stack alone (a resistor
-    # hanging off the junction makes it a real circuit node).
-    touchers: dict[str, set[str]] = defaultdict(set)
-    for dev in devices:
-        for net in set(dev.nets):
-            touchers[net].add(dev.name)
-
     merged: list[Device] = []
     consumed: set[str] = set()
     for members in clusters.values():
         if len(members) < 2:
             continue
         member_names = {d.name for d in members}
+        drain_source = [
+            net for d in members for net in (d.pins[0][1], d.pins[2][1])
+        ]
         internal = {
             net
-            for d in members
-            for net in (d.pin_map["d"], d.pin_map["s"])
+            for net in drain_source
             if is_internal(net) and touchers[net] <= member_names
         }
         # Chain endpoints: the d/s nets not internal to the cluster.
-        endpoints = [
-            net
-            for d in members
-            for net in (d.pin_map["d"], d.pin_map["s"])
-            if net not in internal
-        ]
+        endpoints = [net for net in drain_source if net not in internal]
         if len(endpoints) != 2:
             continue  # not a simple chain; leave untouched
-        first = min(members, key=lambda d: (len(d.name), d.name))
+        first = min(members, key=_name_order)
         total_l = sum(d.param("l", 0.0) or 0.0 for d in members)
         params = tuple((k, total_l if k == "l" else v) for k, v in first.params)
-        pins = (
-            ("d", endpoints[0]),
-            ("g", first.pin_map["g"]),
-            ("s", endpoints[1]),
-            ("b", first.pin_map["b"]),
-        )
+        _drain, gate, _source, body = _dgsb(first)
+        pins = (("d", endpoints[0]), ("g", gate), ("s", endpoints[1]), ("b", body))
         merged.append(replace(first, pins=pins, params=params))
         prior = report.absorbed.pop(first.name, [first.name])
         names: list[str] = []

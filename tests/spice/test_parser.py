@@ -157,3 +157,72 @@ class TestInstances:
     def test_instance_needs_subckt_name(self):
         with pytest.raises(SpiceSyntaxError):
             parse_netlist("x1\n.end\n")
+
+
+class TestParams:
+    def test_reference_to_earlier_assignment_on_same_card(self):
+        deck = ".param a=2u b={a}\nm1 d g s b nmos w={b}\n.end\n"
+        (dev,) = parse_netlist(deck).top.devices
+        assert dev.param("w") == pytest.approx(2e-6)
+
+    def test_references_across_cards(self):
+        deck = ".param a=2u\n.param b={a}\nm1 d g s b nmos w={b}\n.end\n"
+        (dev,) = parse_netlist(deck).top.devices
+        assert dev.param("w") == pytest.approx(2e-6)
+
+    def test_later_assignment_on_a_card_overrides_an_earlier_card(self):
+        deck = ".param a=1u\n.param a=3u b={a}\nm1 d g s b nmos w={b} l=a\n.end\n"
+        (dev,) = parse_netlist(deck).top.devices
+        assert dev.param("w") == pytest.approx(3e-6)
+        assert dev.param("l") == pytest.approx(3e-6)
+
+    def test_unresolved_reference_drops_the_parameter(self):
+        deck = ".param b={nosuch}\nm1 d g s b nmos w={b} l=1u\n.end\n"
+        (dev,) = parse_netlist(deck).top.devices
+        assert dev.param("w") is None
+        assert dev.param("l") == pytest.approx(1e-6)
+
+
+class TestLiteralTable:
+    """Each literal is parsed once per deck; ``.param`` names never are."""
+
+    @staticmethod
+    def _widths(deck: str) -> list[float | None]:
+        return [d.param("w") for d in parse_netlist(deck).top.devices]
+
+    def test_same_token_takes_each_decks_own_param_value(self):
+        cards = "m1 d g s b nmos w=wbig\nm2 d g s b nmos w={wbig}\n.end\n"
+        small = ".param wbig=1u\n" + cards
+        large = ".param wbig=5u\n" + cards
+        assert self._widths(small) == pytest.approx([1e-6, 1e-6])
+        assert self._widths(large) == pytest.approx([5e-6, 5e-6])
+        assert self._widths(small) == pytest.approx([1e-6, 1e-6])
+
+    def test_reference_resolved_before_a_redefinition_does_not_stick(self):
+        deck = (
+            ".param wbig=1u\n"
+            ".param wref=wbig\n"
+            ".param wbig=2u\n"
+            "m1 d g s b nmos w=wbig l=wref\n"
+            ".end\n"
+        )
+        (dev,) = parse_netlist(deck).top.devices
+        assert dev.param("w") == pytest.approx(2e-6)
+        assert dev.param("l") == pytest.approx(1e-6)
+
+    def test_literal_values_unchanged(self):
+        deck = (
+            "v1 vdd! 0 dc 1.8\n"
+            "v2 vdd! 0 dc 1.8\n"
+            "c1 a 0 10uF\n"
+            "r1 a b 1meg\n"
+            "r2 b 0 5M\n"
+            "r3 b c 1meg\n"
+            "m1 d g s b nmos w=5M l=10uF\n"
+            ".end\n"
+        )
+        devices = parse_netlist(deck).top.devices
+        values = [d.value for d in devices]
+        assert values == pytest.approx([1.8, 1.8, 10e-6, 1e6, 5e-3, 1e6, None])
+        assert devices[-1].param("w") == pytest.approx(5e-3)
+        assert devices[-1].param("l") == pytest.approx(10e-6)
