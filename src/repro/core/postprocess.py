@@ -42,7 +42,6 @@ from repro.graph.bipartite import DRAIN_BIT, GATE_BIT, SOURCE_BIT, CircuitGraph
 from repro.graph.ccc import CCCPartition, channel_connected_components
 from repro.primitives.library import PrimitiveLibrary
 from repro.primitives.matcher import PrimitiveMatch, annotate_components
-from repro.spice.netlist import is_power_net
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.profile import PipelineProfiler
@@ -97,16 +96,6 @@ def _ccc_tallies(
     return {cid: tallies[cid] for cid in range(n_components)}
 
 
-def _ccc_vote(
-    annotation: Annotation, partition: CCCPartition
-) -> dict[int, int]:
-    """Probability-weighted majority class per CCC (GCN classes only)."""
-    tallies = _ccc_tallies(annotation, partition)
-    return {
-        cid: int(t.argmax()) if t.sum() > 0 else -1 for cid, t in tallies.items()
-    }
-
-
 def _relabel(
     annotation: Annotation,
     partition: CCCPartition,
@@ -127,16 +116,20 @@ def _relabel(
         for element in members:
             annotation.vertex_classes[element] = cls
 
-    # Net vertices: tally adjacent element classes, weighted by edges.
-    net_tally: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for edge in graph.edges:
-        cls = int(annotation.vertex_classes[edge.element])
-        if cls >= 0:
-            net_tally[edge.net][cls] += 1
-    offset = graph.n_elements
-    for net_local, tally in net_tally.items():
-        best = max(tally.items(), key=lambda kv: kv[1])[0]
-        annotation.vertex_classes[offset + net_local] = best
+    # Net vertices: tally adjacent element classes, weighted by edges;
+    # among tied classes the one first seen on the net (edge order) wins.
+    element, net, _label = graph.edge_arrays()
+    classes = annotation.vertex_classes[element]
+    voting = np.flatnonzero(classes >= 0)
+    if voting.size:
+        width = int(classes.max()) + 1
+        keys, first, counts = np.unique(
+            net[voting] * width + classes[voting], return_index=True, return_counts=True
+        )
+        nets = keys // width
+        order = np.lexsort((first, -counts, nets))  # per net: votes, then first
+        winners = order[np.diff(nets[order], prepend=-1) != 0]
+        annotation.vertex_classes[graph.n_elements + nets[winners]] = keys[winners] % width
 
 
 def _element_owners(
@@ -144,77 +137,35 @@ def _element_owners(
 ) -> np.ndarray:
     """Element index → component id array (−1 when unassigned)."""
     owners = np.full(graph.n_elements, -1, dtype=np.int64)
-    for element, cid in partition.of_element.items():
-        owners[element] = cid
+    owners[list(partition.of_element)] = list(partition.of_element.values())
     return owners
 
 
-def _power_net_mask(graph: CircuitGraph) -> np.ndarray:
-    """Boolean mask over local net indices: is this a power net?"""
-    return np.fromiter(
-        (is_power_net(net) for net in graph.nets),
-        dtype=bool,
-        count=graph.n_nets,
-    )
+def _bpf_input_cccs(graph: CircuitGraph, partition: CCCPartition) -> set[int]:
+    """CCCs holding an "input transistor" of the BPF rule.
 
-
-def _ds_drivers(
-    graph: CircuitGraph, partition: CCCPartition
-) -> dict[int, set[int]]:
-    """Net (local index) → CCCs touching it via a drain/source edge.
-
-    Computed once per circuit and shared by every
-    :func:`_ccc_boundary_inputs` call — the old per-call O(E) rebuild
-    was one of the Postprocessing I hot spots.
+    That is a transistor whose gate sits on a non-power net another CCC
+    drives through a drain/source edge, and which injects from a rail
+    (common-source: its own source or drain on a power net).  A device
+    whose drain AND source both sit on internal circuit nets is an
+    injection/coupling device of an injection-locked oscillator, not a
+    filter input.  One pass over the edge arrays serves every CCC.
     """
     element, net, label = graph.edge_arrays()
-    owners = _element_owners(graph, partition)
+    owner = _element_owners(graph, partition)[element]
+    power = graph.power_net_mask()[net]
+    channel = (label & (DRAIN_BIT | SOURCE_BIT) != 0) & (owner >= 0)
     drivers: dict[int, set[int]] = defaultdict(set)
-    mask = (label & (DRAIN_BIT | SOURCE_BIT)).astype(bool) & (
-        owners[element] >= 0
-    )
-    for n, owner in zip(net[mask], owners[element[mask]]):
-        drivers[int(n)].add(int(owner))
-    return dict(drivers)
-
-
-def _ccc_boundary_inputs(
-    graph: CircuitGraph,
-    partition: CCCPartition,
-    cid: int,
-    drivers: dict[int, set[int]] | None = None,
-) -> list[int]:
-    """Transistors of CCC ``cid`` whose gate net is driven from outside.
-
-    "Driven from outside" = the gate net touches another CCC through a
-    drain/source edge and is not a power net.  These are the "input
-    transistors" of the BPF rule.  Pass a precomputed ``drivers`` map
-    (:func:`_ds_drivers`) when calling for more than one component.
-    """
-    inputs: list[int] = []
-    members = partition.components[cid]
-    if drivers is None:
-        drivers = _ds_drivers(graph, partition)
-    by_element = graph.element_edge_lists()
-    member_edges = (edge for m in members for edge in by_element[m])
-    for edge in member_edges:
-        if not (edge.label & GATE_BIT):
-            continue
-        net_name = graph.nets[edge.net]
-        if is_power_net(net_name):
-            continue
-        outside = drivers.get(edge.net, set()) - {cid}
-        if not outside:
-            continue
-        # A true *input* transistor injects from a rail into the tank
-        # (common-source).  A device whose drain AND source both sit on
-        # internal circuit nets is an injection/coupling device of an
-        # injection-locked oscillator, not a filter input.
-        dev = graph.elements[edge.element]
-        pins = dev.pin_map
-        if is_power_net(pins["s"]) or is_power_net(pins["d"]):
-            inputs.append(edge.element)
-    return sorted(set(inputs))
+    for n, cid in zip(net[channel].tolist(), owner[channel].tolist()):
+        drivers[n].add(cid)
+    railed = np.zeros(graph.n_elements, dtype=bool)
+    railed[element[channel & power]] = True
+    gate = (label & GATE_BIT != 0) & ~power & (owner >= 0) & railed[element]
+    return {
+        cid
+        for n, cid in zip(net[gate].tolist(), owner[gate].tolist())
+        if drivers.get(n, set()) - {cid}
+    }
 
 
 def _mirror_clusters(
@@ -251,7 +202,7 @@ def _mirror_clusters(
         is_gate
         & ~is_drain
         & (edge_owner >= 0)
-        & ~_power_net_mask(graph)[net]
+        & ~graph.power_net_mask()[net]
     )
     for n, owner in zip(net[gate_mask], edge_owner[gate_mask]):
         external_gates[int(owner)].add(int(n))
@@ -330,7 +281,7 @@ def _absorb_orphans(
     are mirror roots (e.g. a bias current reference whose only fanout
     is the tail gate of one OTA) and stay their own functional unit.
     """
-    element, _net, label = graph.edge_arrays()
+    element, net, label = graph.edge_arrays()
     owners = _element_owners(graph, partition)
     diode_mask = (
         (label & GATE_BIT).astype(bool)
@@ -339,15 +290,17 @@ def _absorb_orphans(
     )
     diode_owners = {int(o) for o in owners[element[diode_mask]]}
 
-    by_element = graph.element_edge_lists()
+    offsets = graph.element_offsets()
+    # Local net per edge, -1 for a power net (never a neighbor link).
+    signal_net = np.where(graph.power_net_mask()[net], -1, net).tolist()
     for cid, members in enumerate(partition.components):
         if cid in protected or len(members) > max_size or cid in diode_owners:
             continue
         neighbors: set[int] = set()
-        for edge in (e for m in members for e in by_element[m]):
-            if is_power_net(graph.nets[edge.net]):
-                continue
-            neighbors |= partition.of_net.get(edge.net, set())
+        for m in members:
+            for net_local in signal_net[offsets[m] : offsets[m + 1]]:
+                if net_local >= 0:
+                    neighbors |= partition.of_net.get(net_local, set())
         neighbors.discard(cid)
         neighbors -= protected
         if len(neighbors) != 1:
@@ -387,18 +340,20 @@ def postprocess_ccc(
     annotation = annotation.copy()
     graph = annotation.graph
     partition = partition or channel_connected_components(graph)
-    ccc_classes = _ccc_vote(annotation, partition)
-    rf_vocab_early = all(c in annotation.class_names for c in RF_CLASSES)
+    # Probability-weighted majority class per CCC (GCN classes only).
+    tallies = _ccc_tallies(annotation, partition)
+    ccc_classes = {
+        cid: int(t.argmax()) if t.sum() > 0 else -1 for cid, t in tallies.items()
+    }
+    rf_vocab = all(c in annotation.class_names for c in RF_CLASSES)
     if standalone_primitives is None:
         standalone_primitives = (
-            STANDALONE_PRIMITIVES if rf_vocab_early else frozenset()
+            STANDALONE_PRIMITIVES if rf_vocab else frozenset()
         )
 
     result = PostprocessResult(
         annotation=annotation, partition=partition, ccc_classes=ccc_classes
     )
-
-    rf_vocab = rf_vocab_early
 
     component_matches = annotate_components(
         graph,
@@ -407,8 +362,8 @@ def postprocess_ccc(
         profiler=profiler,
         match_cache=match_cache,
     )
-    ds_drivers = (
-        _ds_drivers(graph, partition) if detect_bpf and rf_vocab else None
+    bpf_inputs = (
+        _bpf_input_cccs(graph, partition) if detect_bpf and rf_vocab else set()
     )
 
     for cid, members in enumerate(partition.components):
@@ -446,10 +401,7 @@ def postprocess_ccc(
             has_cc_pair = any(
                 m.primitive in ("CC-N", "CC-P") for m in matches.matches
             )
-            inputs = _ccc_boundary_inputs(
-                graph, partition, cid, drivers=ds_drivers
-            )
-            if has_cc_pair and inputs:
+            if has_cc_pair and cid in bpf_inputs:
                 ccc_classes[cid] = annotation.class_id("bpf", create=True)
 
     protected = {cid for cid, _match in result.standalone}
@@ -458,7 +410,6 @@ def postprocess_ccc(
         for cid, cls in ccc_classes.items()
         if cls >= len(annotation.class_names)  # extra classes (bpf, …)
     }
-    tallies = _ccc_tallies(annotation, partition)
     if mirror_vote:
         _joint_mirror_vote(graph, partition, ccc_classes, tallies, protected)
     if absorb_orphans:
@@ -498,19 +449,17 @@ def apply_port_rules(
         )
     mutable = set(rf_ids.values())
 
-    edges_by_net: dict[int, list] = defaultdict(list)
-    for edge in graph.edges:
-        edges_by_net[edge.net].append(edge)
+    # Owned edges on the labelled nets, gathered in one pass.
+    edge_element, edge_net, edge_label = graph.edge_arrays()
+    edge_owner = _element_owners(graph, partition)[edge_element]
+    labelled = [graph.net_index[n] for n in port_labels if n in graph.net_index]
+    hits = np.flatnonzero(np.isin(edge_net, labelled) & (edge_owner >= 0))
+    on_net: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for n, cid, bits in zip(*(a[hits].tolist() for a in (edge_net, edge_owner, edge_label))):
+        on_net[n].append((cid, bits))
 
     def touching(net_local: int, bits: int) -> set[int]:
-        out: set[int] = set()
-        for edge in edges_by_net.get(net_local, ()):
-            if bits and not (edge.label & bits):
-                continue
-            owner = partition.of_element.get(edge.element)
-            if owner is not None:
-                out.add(owner)
-        return out
+        return {cid for cid, b in on_net.get(net_local, ()) if not bits or b & bits}
 
     for net, label in port_labels.items():
         if net not in graph.net_index:

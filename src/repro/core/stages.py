@@ -71,7 +71,7 @@ import numpy as np
 
 from repro.exceptions import ArtifactError
 from repro.graph.bipartite import CircuitGraph
-from repro.runtime.cache import ArtifactCache, Memo
+from repro.runtime.cache import ARTIFACT_FORMAT_VERSION, ArtifactCache, Memo
 from repro.runtime.resilience import Diagnostic
 from repro.runtime.resilience import stage as stage_guard
 from repro.spice.netlist import Circuit, Netlist, reset_power_net_memo
@@ -166,8 +166,8 @@ def content_fingerprint(*parts: Any) -> str:
     Handles the vocabulary artifacts are made of: scalars, strings,
     bytes, tuples/lists, sets, dicts (order-insensitive), enums, numpy
     arrays (dtype + shape + buffer), paths, and dataclasses (walked
-    field by field, so non-field caches like
-    ``CircuitGraph._edge_arrays`` never leak in).  Pickle bytes are not
+    field by field, so non-field state like
+    ``CircuitGraph._edge_arrays`` never leaks in).  Pickle bytes are not
     content-stable (memoization depends on object identity), hence this
     dedicated encoder.  Unsupported types raise ``TypeError`` rather
     than silently fingerprinting their ``repr``.
@@ -265,11 +265,6 @@ def annotator_fingerprint(annotator: "GcnAnnotator") -> str:
 # Artifacts
 # ---------------------------------------------------------------------------
 
-#: Bumped when any artifact's schema changes; saved envelopes with a
-#: different version refuse to load (and cache entries miss).
-#: Version 2: artifacts grew the hierarchy-scoped annotation fields
-#: (``tree``/``hier``) — version-1 pickles predate them.
-ARTIFACT_FORMAT_VERSION = 2
 
 #: File suffix used by :meth:`Artifact.save` / :func:`load_artifacts`.
 ARTIFACT_SUFFIX = ".artifact.pkl"

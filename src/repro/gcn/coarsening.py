@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.graph.laplacian import as_csr, csr_entries, csr_from_rows, row_sums
 from repro.graph.laplacian import normalized_laplacian, rescaled_laplacian
 
 
@@ -27,17 +28,21 @@ def graclus_matching(adjacency: sp.spmatrix, rng) -> np.ndarray:
     prescribes, so coarsenings differ between seeds but are fully
     reproducible for a fixed one.
     """
-    adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
+    adjacency = as_csr(adjacency)
     n = adjacency.shape[0]
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    degrees = row_sums(adjacency)
     with np.errstate(divide="ignore"):
         inv_deg = np.where(degrees > 0, 1.0 / np.maximum(degrees, 1e-12), 0.0)
-
-    order = rng.permutation(n)
-    matched = np.full(n, -1, dtype=np.int64)
+    indptr, indices = adjacency.indptr, adjacency.indices
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    # Every entry's normalized-cut score at once; the greedy loop that
+    # must see earlier merges reads plain Python scalars through
+    # memoryviews (as fast as lists, without a Python object per entry).
+    scores = memoryview(adjacency.data * (inv_deg[rows] + inv_deg[indices]))
+    indptr, indices = memoryview(indptr), memoryview(indices)
+    order = rng.permutation(n).tolist()
+    matched = [-1] * n
     next_cluster = 0
-    indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
-
     for vertex in order:
         if matched[vertex] >= 0:
             continue
@@ -47,15 +52,23 @@ def graclus_matching(adjacency: sp.spmatrix, rng) -> np.ndarray:
             neighbor = indices[idx]
             if neighbor == vertex or matched[neighbor] >= 0:
                 continue
-            score = data[idx] * (inv_deg[vertex] + inv_deg[neighbor])
-            if score > best_score:
-                best_score = score
+            if scores[idx] > best_score:
+                best_score = scores[idx]
                 best_neighbor = neighbor
         matched[vertex] = next_cluster
         if best_neighbor >= 0:
             matched[best_neighbor] = next_cluster
         next_cluster += 1
-    return matched
+    return np.array(matched, dtype=np.int64)
+
+
+def _sum_by_key(keys: np.ndarray, values: np.ndarray):
+    """Distinct ``keys`` ascending and the ``values`` summed per key,
+    each sum accumulated in input order (as the sparse products do)."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0  # keys are non-negative
+    return keys[first], np.bincount(np.cumsum(first) - 1, weights=values[order])
 
 
 def coarsen_adjacency(adjacency: sp.spmatrix, assign: np.ndarray) -> sp.csr_matrix:
@@ -63,17 +76,19 @@ def coarsen_adjacency(adjacency: sp.spmatrix, assign: np.ndarray) -> sp.csr_matr
 
     ``W_c = Sᵀ W S`` with the diagonal (intra-cluster weight) removed,
     since self-loops carry no information for the next matching or for
-    the Laplacian.
+    the Laplacian.  Computed as one remap of the stored entries: first
+    ``(cluster(u), v)`` sums over fine rows ``u`` ascending, then
+    ``(cluster(u), cluster(v))`` sums over fine columns ``v`` ascending,
+    the summation order of ``(Sᵀ W) S``, so every bit matches it.
     """
+    adjacency, rows = csr_entries(adjacency)
     n = adjacency.shape[0]
     n_coarse = int(assign.max()) + 1 if assign.size else 0
-    selector = sp.csr_matrix(
-        (np.ones(n), (np.arange(n), assign)), shape=(n, n_coarse)
-    )
-    coarse = (selector.T @ adjacency @ selector).tocsr()
-    coarse.setdiag(0)
-    coarse.eliminate_zeros()
-    return coarse
+    partial, weights = _sum_by_key(assign[rows] * n + adjacency.indices, adjacency.data)
+    keys, weights = _sum_by_key(partial // n * n_coarse + assign[partial % n], weights)
+    rows, cols = keys // n_coarse, keys % n_coarse
+    keep = np.flatnonzero((rows != cols) & (weights != 0))
+    return csr_from_rows(rows[keep], cols[keep], weights[keep], n_coarse)
 
 
 @dataclass

@@ -75,8 +75,8 @@ class GraphSample:
         n = graph.n_vertices
         label_array = np.full(n, -1, dtype=np.int64)
         mask = np.zeros(n, dtype=bool)
-        for vertex in range(n):
-            name = graph.vertex_name(vertex)
+        names = [dev.name for dev in graph.elements] + graph.nets
+        for vertex, name in enumerate(names):
             if name in labels:
                 label_array[vertex] = labels[name]
                 mask[vertex] = True

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphConstructionError
+from repro.graph.laplacian import csr_from_rows
 from repro.spice.netlist import Circuit, Device, is_power_net
 
 #: Bit positions of the 3-bit edge label ``lg ls ld`` (gate is the MSB).
@@ -83,15 +84,31 @@ class CircuitGraph:
             for d in circuit.devices
             if include_sources or not d.kind.is_source
         ]
+        transistor = [dev.kind.is_transistor for dev in elements]
         nets: list[str] = []
         net_index: dict[str, int] = {}
-        for dev in elements:
+        edges: list[Edge] = []
+        # The edge columns, built once here for every later graph pass.
+        degree: list[int] = []
+        edge_net: list[int] = []
+        edge_label: list[int] = []
+        for idx, dev in enumerate(elements):
+            labels: dict[int, int] = {}
             for term, net in dev.pins:
-                if dev.kind.is_transistor and term == "b":
-                    continue
-                if net not in net_index:
-                    net_index[net] = len(nets)
+                if transistor[idx]:
+                    if term == "b":
+                        continue
+                    bit = _TERMINAL_BITS[term]
+                else:
+                    bit = 0
+                nid = net_index.setdefault(net, len(nets))
+                if nid == len(nets):
                     nets.append(net)
+                labels[nid] = labels.get(nid, 0) | bit
+            edges.extend(Edge(idx, nid, label) for nid, label in labels.items())
+            degree.append(len(labels))
+            edge_net.extend(labels)
+            edge_label.extend(labels.values())
         # Ports with no device connection still deserve vertices so that
         # annotation covers every declared net.
         for port in circuit.ports:
@@ -99,25 +116,10 @@ class CircuitGraph:
                 net_index[port] = len(nets)
                 nets.append(port)
 
-        edges: list[Edge] = []
-        for idx, dev in enumerate(elements):
-            labels: dict[int, int] = {}
-            for term, net in dev.pins:
-                if dev.kind.is_transistor:
-                    if term == "b":
-                        continue
-                    bit = _TERMINAL_BITS[term]
-                else:
-                    bit = 0
-                nid = net_index[net]
-                labels[nid] = labels.get(nid, 0) | bit
-            for nid, label in labels.items():
-                edges.append(Edge(element=idx, net=nid, label=label))
-
         element_index = {d.name: i for i, d in enumerate(elements)}
         if len(element_index) != len(elements):
             raise GraphConstructionError("duplicate device names in circuit")
-        return cls(
+        graph = cls(
             circuit=circuit,
             elements=elements,
             nets=nets,
@@ -125,6 +127,14 @@ class CircuitGraph:
             net_index=net_index,
             element_index=element_index,
         )
+        # Not fields: fingerprints and equality walk ``edges`` only.
+        graph._edge_arrays = (
+            np.repeat(np.arange(len(elements)), degree),
+            np.array(edge_net, dtype=np.int64),
+            np.array(edge_label, dtype=np.int64),
+        )
+        graph._transistor_mask = np.array(transistor, dtype=bool)
+        return graph
 
     # -- sizes and vertex bookkeeping ---------------------------------
 
@@ -166,93 +176,75 @@ class CircuitGraph:
     # -- matrices ------------------------------------------------------
 
     def adjacency(self) -> sp.csr_matrix:
-        """Unweighted symmetric adjacency over all vertices."""
+        """Unweighted symmetric adjacency over all vertices (canonical CSR)."""
         n = self.n_vertices
-        rows, cols = [], []
-        for edge in self.edges:
-            u = edge.element
-            v = self.n_elements + edge.net
-            rows.extend((u, v))
-            cols.extend((v, u))
-        data = np.ones(len(rows), dtype=np.float64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        element, net, _label = self._edge_arrays
+        net = net + self.n_elements
+        rows = np.concatenate((element, net))
+        cols = np.concatenate((net, element))
+        order = np.argsort(rows * n + cols)
+        return csr_from_rows(rows[order], cols[order], np.ones(len(rows)), n)
 
     def edge_label(self, element: int, net: int) -> int | None:
         """3-bit label between an element vertex and a net (local index).
 
-        Returns None when there is no such edge.  O(E) lookup is fine at
-        the scales this package works at; hot paths use adjacency lists.
+        Returns None when there is no such edge.
         """
-        for edge in self.edges:
-            if edge.element == element and edge.net == net:
-                return edge.label
-        return None
+        elements, nets, labels = self._edge_arrays
+        hit = np.flatnonzero((elements == element) & (nets == net))
+        return int(labels[hit[0]]) if hit.size else None
 
     def neighbors(self) -> list[list[tuple[int, int]]]:
         """Adjacency list over global indices: vertex -> [(other, label)]."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        for edge in self.edges:
-            u = edge.element
-            v = self.n_elements + edge.net
-            adj[u].append((v, edge.label))
-            adj[v].append((u, edge.label))
+        element, net, label = (a.tolist() for a in self._edge_arrays)
+        for u, v, bits in zip(element, net, label):
+            v += self.n_elements
+            adj[u].append((v, bits))
+            adj[v].append((u, bits))
         return adj
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees (global numbering)."""
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        for edge in self.edges:
-            deg[edge.element] += 1
-            deg[self.n_elements + edge.net] += 1
-        return deg
+        element, net, _label = self._edge_arrays
+        ends = np.concatenate((element, net + self.n_elements))
+        return np.bincount(ends, minlength=self.n_vertices)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(element, net, label)`` int64 arrays over all edges.
 
-        Cached on first use (the edge list never changes after
-        construction); these feed the vectorized postprocessing scans,
-        which turn per-edge Python predicates into numpy masks.
+        Built once by :meth:`from_circuit`, in edge order (element-major,
+        so ``element`` is non-decreasing).  Every per-deck graph pass —
+        adjacency, CCC partition, postprocessing scans — reads these
+        instead of walking the :class:`Edge` list.
         """
-        cached = getattr(self, "_edge_arrays", None)
-        if cached is not None and len(cached[0]) == len(self.edges):
-            return cached
-        n = len(self.edges)
-        element = np.fromiter(
-            (e.element for e in self.edges), dtype=np.int64, count=n
-        )
-        net = np.fromiter((e.net for e in self.edges), dtype=np.int64, count=n)
-        label = np.fromiter(
-            (e.label for e in self.edges), dtype=np.int64, count=n
-        )
-        self._edge_arrays = (element, net, label)
         return self._edge_arrays
 
-    def element_edge_lists(self) -> list[list[Edge]]:
-        """Per-element incident edge lists, cached on first use."""
-        cached = getattr(self, "_element_edges", None)
-        if cached is not None and len(cached) == self.n_elements:
-            return cached
-        lists: list[list[Edge]] = [[] for _ in range(self.n_elements)]
-        for edge in self.edges:
-            lists[edge.element].append(edge)
-        self._element_edges = lists
-        return lists
+    def element_offsets(self) -> list[int]:
+        """Element ``i``'s edges are ``offsets[i]:offsets[i + 1]`` of every
+        :meth:`edge_arrays` column (the edges are element-major)."""
+        element = self._edge_arrays[0]
+        return np.searchsorted(element, np.arange(self.n_elements + 1)).tolist()
 
     # -- derived views -------------------------------------------------
 
+    def transistor_mask(self) -> np.ndarray:
+        """Boolean mask over element indices: is this an NMOS/PMOS?"""
+        return self._transistor_mask
+
+    def power_net_mask(self) -> np.ndarray:
+        """Boolean mask over local net indices: is this a power net?"""
+        return np.fromiter(
+            map(is_power_net, self.nets), dtype=bool, count=self.n_nets
+        )
+
     def power_net_vertices(self) -> set[int]:
         """Global vertex indices of supply/ground nets."""
-        return {
-            self.n_elements + i
-            for i, net in enumerate(self.nets)
-            if is_power_net(net)
-        }
+        return set((np.flatnonzero(self.power_net_mask()) + self.n_elements).tolist())
 
     def transistor_vertices(self) -> list[int]:
         """Global indices of NMOS/PMOS element vertices."""
-        return [
-            i for i, dev in enumerate(self.elements) if dev.kind.is_transistor
-        ]
+        return np.flatnonzero(self._transistor_mask).tolist()
 
     def subgraph_of_elements(self, element_indices: set[int]) -> "CircuitGraph":
         """Graph induced by a subset of elements (nets pruned to touched)."""

@@ -6,9 +6,9 @@ connections to supply and ground nodes). It can be identified using
 simple linear-time graph traversal schemes."*
 
 :func:`channel_connected_components` implements exactly that with a
-union–find over transistor elements; passives and nets are then
-assigned to the CCC they touch, which is what the postprocessing vote
-operates on.
+union–find over transistor elements, read off the graph's edge arrays;
+passives and nets are then assigned to the CCC they touch, which is
+what the postprocessing vote operates on.
 """
 
 from __future__ import annotations
@@ -16,27 +16,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.graph.bipartite import DRAIN_BIT, SOURCE_BIT, CircuitGraph
-from repro.spice.netlist import is_power_net
-
-
-class _UnionFind:
-    """Array-based union–find with path halving; effectively linear."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 @dataclass
@@ -70,80 +52,71 @@ def channel_connected_components(graph: CircuitGraph) -> CCCPartition:
     the lowest component id); a passive touching no transistor CCC
     becomes its own singleton component — that is how stand-alone
     passive structures (e.g. input-buffer RC) separate out.
+
+    Edge predicates are numpy masks over the graph's edge arrays; only
+    the union–find and the output containers are Python.  Component ids
+    follow the lowest transistor index, then passives in index order.
     """
-    uf = _UnionFind(graph.n_elements)
-    power = {
-        net_local
-        for net_local, net in enumerate(graph.nets)
-        if is_power_net(net)
-    }
+    element, net, label = graph.edge_arrays()
+    n_elements = graph.n_elements
+    transistor = graph.transistor_mask()
+    power = graph.power_net_mask()
 
-    # nets (local index) -> transistors whose source/drain touch them
-    ds_on_net: dict[int, list[int]] = defaultdict(list)
-    for edge in graph.edges:
-        dev = graph.elements[edge.element]
-        if not dev.kind.is_transistor or edge.net in power:
-            continue
-        if edge.label & (SOURCE_BIT | DRAIN_BIT):
-            ds_on_net[edge.net].append(edge.element)
+    # Union–find (path halving): each channel edge joins its transistor
+    # to the first transistor seen on the same net.
+    parent = list(range(n_elements))
 
-    for members in ds_on_net.values():
-        first = members[0]
-        for other in members[1:]:
-            uf.union(first, other)
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    # Collect transistor components.
+    channel = transistor[element] & ~power[net] & (label & (SOURCE_BIT | DRAIN_BIT) != 0)
+    first_on_net: dict[int, int] = {}
+    for member, net_local in zip(element[channel].tolist(), net[channel].tolist()):
+        root_a, root_b = find(first_on_net.setdefault(net_local, member)), find(member)
+        if root_a != root_b:
+            parent[root_a] = root_b
+
     root_to_id: dict[int, int] = {}
     components: list[set[int]] = []
     of_element: dict[int, int] = {}
-    for idx, dev in enumerate(graph.elements):
-        if not dev.kind.is_transistor:
-            continue
-        root = uf.find(idx)
-        if root not in root_to_id:
-            root_to_id[root] = len(components)
+    transistors = np.flatnonzero(transistor).tolist()
+    for idx in transistors:
+        cid = root_to_id.setdefault(find(idx), len(components))
+        if cid == len(components):
             components.append(set())
-        cid = root_to_id[root]
         components[cid].add(idx)
         of_element[idx] = cid
 
-    # Net -> component adjacency (all terminals count here, including
-    # gates: a gate net inside one CCC driven by another is exactly the
-    # boundary case the paper allows to belong to multiple sub-blocks).
-    of_net: dict[int, set[int]] = defaultdict(set)
-    for edge in graph.edges:
-        cid = of_element.get(edge.element)
-        if cid is not None:
-            of_net[edge.net].add(cid)
-
-    # Passives: join a touching component, else become singletons.
-    # Power nets never bind a passive to a component — a load cap to
-    # ground must not join whichever component also touches ground.
-    edges_of: dict[int, list] = defaultdict(list)
-    for edge in graph.edges:
-        edges_of[edge.element].append(edge)
-    for idx, dev in enumerate(graph.elements):
-        if dev.kind.is_transistor:
-            continue
-        touching: set[int] = set()
-        for edge in edges_of.get(idx, ()):
-            if edge.net not in power:
-                touching |= of_net.get(edge.net, set())
-        if touching:
-            cid = min(touching)
-        else:
+    # Passives: join the lowest transistor component on any of their
+    # non-power nets (all terminals count, gates included), else become
+    # singletons.  Power nets never bind a passive to a component — a
+    # load cap to ground must not join whichever component also touches
+    # ground.
+    n_bound = len(components)
+    owner = np.full(n_elements, n_bound, dtype=np.int64)
+    owner[transistors] = list(of_element.values())
+    lowest_on_net = np.full(graph.n_nets, n_bound, dtype=np.int64)
+    np.minimum.at(lowest_on_net, net, owner[element])
+    binding = ~transistor[element] & ~power[net]
+    lowest = np.full(n_elements, n_bound, dtype=np.int64)
+    np.minimum.at(lowest, element[binding], lowest_on_net[net[binding]])
+    for idx in np.flatnonzero(~transistor).tolist():
+        cid = int(lowest[idx])
+        if cid == n_bound:
             cid = len(components)
             components.append(set())
         components[cid].add(idx)
-        of_element[idx] = cid
+        of_element[idx] = owner[idx] = cid
 
-    # Refresh net adjacency now that passives are placed.
-    of_net = defaultdict(set)
-    for edge in graph.edges:
-        cid = of_element.get(edge.element)
-        if cid is not None:
-            of_net[edge.net].add(cid)
-
-    return CCCPartition(
-        components=components, of_element=of_element, of_net=dict(of_net)
-    )
+    # Net -> component adjacency over every terminal, including gates:
+    # a gate net inside one CCC driven by another is exactly the
+    # boundary case the paper allows to belong to multiple sub-blocks.
+    # ``of_element``'s int objects go into the sets: one per element,
+    # not one per edge.
+    of_net: dict[int, set[int]] = defaultdict(set)
+    for net_local, idx in zip(net.tolist(), element.tolist()):
+        of_net[net_local].add(of_element[idx])
+    return CCCPartition(components=components, of_element=of_element, of_net=dict(of_net))

@@ -146,36 +146,34 @@ def feature_matrix(
     depth, normalized by the deepest path in the circuit.
     """
     buckets = buckets or ValueBuckets()
-    n = graph.n_vertices
-    features = np.zeros((n, N_FEATURES), dtype=np.float64)
+    n_elements = graph.n_elements
+    features = np.zeros((graph.n_vertices, N_FEATURES), dtype=np.float64)
 
-    max_depth = 1
+    kinds, depths, values = [], [], []
     for dev in graph.elements:
-        max_depth = max(max_depth, len(instance_path(dev.name)))
-
-    # Pre-index incident labels once (avoids O(V*E) rescans).
-    incident: list[list[int]] = [[] for _ in range(graph.n_elements)]
-    for edge in graph.edges:
-        incident[edge.element].append(edge.label)
-
-    for i, dev in enumerate(graph.elements):
-        slot = _KIND_SLOT.get(dev.kind)
-        if slot is not None:
-            features[i, slot] = 1.0
-        depth = len(instance_path(dev.name))
-        if depth > 1:
-            features[i, _HIER_SLOT] = 1.0
-        features[i, _LEVEL_SLOT] = depth / max_depth
-        features[i, _VALUE_SLOTS[buckets.bucket(dev)]] = 1.0
-        if dev.kind.is_transistor and incident[i]:
-            features[i, _EDGE_SLOT] = max(incident[i]) / 7.0
+        kinds.append(_KIND_SLOT.get(dev.kind))
+        depths.append(len(instance_path(dev.name)))
+        values.append(_VALUE_SLOTS[buckets.bucket(dev)])
+    # A kind without a slot (diode) sets no kind bit.
+    kind_rows = [i for i, slot in enumerate(kinds) if slot is not None]
+    features[kind_rows, [kinds[i] for i in kind_rows]] = 1.0
+    rows = np.arange(n_elements)
+    depth = np.array(depths, dtype=np.int64)
+    features[rows, _HIER_SLOT] = depth > 1
+    features[rows, _LEVEL_SLOT] = depth / max(depths, default=1)
+    features[rows, values] = 1.0
+    # Edge feature: the largest incident 3-bit label of a transistor.
+    element, _net, label = graph.edge_arrays()
+    largest = np.zeros(n_elements, dtype=np.int64)
+    np.maximum.at(largest, element, label)
+    transistor = graph.transistor_mask()
+    features[rows[transistor], _EDGE_SLOT] = largest[transistor] / 7.0
 
     ports = graph.circuit.ports
     for j, net in enumerate(graph.nets):
-        vertex = graph.n_elements + j
         role = infer_net_role(net, ports, net_roles)
         if role.slot is not None:
-            features[vertex, role.slot] = 1.0
+            features[n_elements + j, role.slot] = 1.0
 
     return features
 

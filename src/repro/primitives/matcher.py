@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.core.constraints import Constraint
@@ -55,10 +56,14 @@ class PrimitiveMatch:
     net_map: tuple[tuple[str, str], ...]  # template net → target net
     constraints: tuple[Constraint, ...]  # already renamed to target devices
 
-    @property
+    @cached_property
     def elements(self) -> frozenset[str]:
-        """Target device names claimed by this match."""
-        return frozenset(name for _, name in self.element_map)
+        """Target device names claimed by this match (built once)."""
+        return frozenset([name for _, name in self.element_map])
+
+    def __getstate__(self) -> dict:
+        # Fields only: pickles never depend on whether ``elements`` was read.
+        return {k: v for k, v in self.__dict__.items() if k != "elements"}
 
     @property
     def net_dict(self) -> dict[str, str]:
@@ -383,18 +388,20 @@ class _Shape:
 def _ccc_view(
     graph: CircuitGraph,
     members: set[int],
-    edge_lists: list[list],
+    incidence: tuple[list[int], list[int], list[int]],
     net_vectors: list[tuple[bool, ...]],
 ) -> tuple["list[Device]", list[str], tuple]:
     """One CCC read off the parent graph: devices, nets, structural key.
 
     Devices come in element order and nets in first-appearance order
-    over their edges, so local positions are exactly the vertex
-    numbering :meth:`CircuitGraph.subgraph_of_elements` would give the
-    CCC (sources are dropped there too).  The key holds no names: the
+    over their edges (``incidence``: ``element_offsets()`` and the net
+    and label edge columns as lists), so local positions are exactly
+    the vertex numbering :meth:`CircuitGraph.subgraph_of_elements` would
+    give the CCC (sources are dropped there too).  The key holds no names: the
     element kinds, the labelled edges between local positions (so net
     degrees are CCC-local) and each net's port-predicate vector.
     """
+    offsets, edge_nets, edge_labels = incidence
     devices = []
     kinds = []
     local_nets: dict[int, int] = {}
@@ -406,9 +413,9 @@ def _ccc_view(
         position = len(devices)
         devices.append(device)
         kinds.append(device.kind)
-        for edge in edge_lists[index]:
-            local = local_nets.setdefault(edge.net, len(local_nets))
-            edges.append((position, local, edge.label))
+        for edge in range(offsets[index], offsets[index + 1]):
+            local = local_nets.setdefault(edge_nets[edge], len(local_nets))
+            edges.append((position, local, edge_labels[edge]))
     key = (
         tuple(kinds),
         tuple(edges),
@@ -498,14 +505,15 @@ def annotate_components(
     """
     templates = library.by_size_desc()
     fingerprints = [template_fingerprint(t) for t in templates]
-    edge_lists = graph.element_edge_lists()
+    _element, edge_nets, edge_labels = graph.edge_arrays()
+    incidence = (graph.element_offsets(), edge_nets.tolist(), edge_labels.tolist())
     net_vectors = [port_predicate_vector(net) for net in graph.nets]
     shapes: dict[tuple, _Shape] = {}
     results: dict[int, AnnotationResult] = {}
     for cid, members in enumerate(partition.components):
         if profiler is not None:
             profiler.count("ccc_matched")
-        devices, nets, key = _ccc_view(graph, members, edge_lists, net_vectors)
+        devices, nets, key = _ccc_view(graph, members, incidence, net_vectors)
         memo = None
         cache_key = None
         known = 0

@@ -45,6 +45,10 @@ NO_CACHE_ENV = "GANA_NO_CACHE"
 #: batched minibatch training (block-diagonal packing) became the
 #: default, which reorders float accumulation relative to v1 weights.
 CACHE_FORMAT_VERSION = 2
+#: Bumped when any pipeline artifact's schema changes; saved artifacts and
+#: :class:`ArtifactCache` entries of another version are stale.  v2: the
+#: ``tree``/``hier`` annotation fields; v3: ``CircuitGraph`` edge arrays.
+ARTIFACT_FORMAT_VERSION = 3
 
 
 def default_cache_dir() -> Path:
@@ -273,7 +277,7 @@ class ArtifactCache:
         """Atomically persist ``value`` under ``key``; None on failure."""
         path = self.path_for(key)
         payload = {
-            "format_version": CACHE_FORMAT_VERSION,
+            "format_version": (CACHE_FORMAT_VERSION, ARTIFACT_FORMAT_VERSION),
             "key": key,
             "value": value,
         }
@@ -305,7 +309,8 @@ class ArtifactCache:
                 payload = pickle.load(handle)
             if (
                 not isinstance(payload, dict)
-                or payload.get("format_version") != CACHE_FORMAT_VERSION
+                or payload.get("format_version")
+                != (CACHE_FORMAT_VERSION, ARTIFACT_FORMAT_VERSION)
                 or payload.get("key") != key
             ):
                 raise ValueError("stale or foreign cache entry")

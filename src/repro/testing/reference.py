@@ -16,18 +16,28 @@
   :func:`train_per_sample` — the per-sample GCN training loop that
   block-diagonal packing replaced; ``tests/gcn/test_batch.py`` and
   ``benchmarks/check_batch_regression.py`` compare training curves.
+* :func:`naive_normalized_laplacian`, :func:`naive_rescaled_laplacian`,
+  :func:`naive_graclus_matching`, :func:`naive_coarsen_adjacency` and
+  :func:`naive_channel_connected_components` — the sample build and
+  CCC partition as scipy matrix products and walks over the
+  :class:`~repro.graph.bipartite.Edge` list, before the edge arrays;
+  ``tests/graph/test_array_passes.py`` asserts the production passes
+  match them bit for bit.
 """
 
 from __future__ import annotations
 
 import importlib
+from collections import defaultdict
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.pipeline import GanaPipeline, PipelineResult, build_hierarchy
 from repro.core.postprocess import apply_port_rules, postprocess_ccc
 from repro.gcn.loss import softmax
-from repro.graph.bipartite import CircuitGraph
+from repro.graph.bipartite import DRAIN_BIT, SOURCE_BIT, CircuitGraph
+from repro.graph.ccc import CCCPartition
 from repro.graph.features import NetRole
 from repro.primitives.isomorphism import VF2Matcher
 from repro.primitives.matcher import (
@@ -39,7 +49,7 @@ from repro.primitives.matcher import (
 )
 from repro.runtime.resilience import Diagnostic, stage
 from repro.spice.flatten import flatten
-from repro.spice.netlist import Circuit, Netlist, reset_power_net_memo
+from repro.spice.netlist import Circuit, Netlist, is_power_net, reset_power_net_memo
 from repro.spice.parser import parse_netlist
 from repro.spice.preprocess import preprocess
 
@@ -299,3 +309,137 @@ def train_per_sample(model, train_samples, val_samples=None, config=None, fault=
         return module.train(model, train_samples, val_samples, config, fault)
     finally:
         module._run_epoch = packed
+
+
+def naive_normalized_laplacian(adjacency: sp.spmatrix) -> sp.csr_matrix:
+    """``I − D^{-1/2} A D^{-1/2}`` as scipy products."""
+    adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
+    n = adjacency.shape[0]
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(degrees)
+    inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
+    d_inv_sqrt = sp.diags(inv_sqrt)
+    identity = sp.identity(n, format="csr", dtype=np.float64)
+    return sp.csr_matrix(identity - d_inv_sqrt @ adjacency @ d_inv_sqrt)
+
+
+def naive_rescaled_laplacian(laplacian: sp.spmatrix, lmax: float | None = None) -> sp.csr_matrix:
+    """``2 L / λmax − I`` as scipy arithmetic (λmax defaults to 2)."""
+    laplacian = sp.csr_matrix(laplacian, dtype=np.float64)
+    lmax = 2.0 if lmax is None else lmax
+    if lmax <= 0:
+        raise ValueError(f"λmax must be positive, got {lmax}")
+    identity = sp.identity(laplacian.shape[0], format="csr", dtype=np.float64)
+    return sp.csr_matrix(laplacian * (2.0 / lmax) - identity)
+
+
+def naive_graclus_matching(adjacency: sp.spmatrix, rng) -> np.ndarray:
+    """Greedy normalized-cut matching reading numpy scalars one at a time."""
+    adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
+    n = adjacency.shape[0]
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        inv_deg = np.where(degrees > 0, 1.0 / np.maximum(degrees, 1e-12), 0.0)
+
+    order = rng.permutation(n)
+    matched = np.full(n, -1, dtype=np.int64)
+    next_cluster = 0
+    indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
+    for vertex in order:
+        if matched[vertex] >= 0:
+            continue
+        best_neighbor = -1
+        best_score = -np.inf
+        for idx in range(indptr[vertex], indptr[vertex + 1]):
+            neighbor = indices[idx]
+            if neighbor == vertex or matched[neighbor] >= 0:
+                continue
+            score = data[idx] * (inv_deg[vertex] + inv_deg[neighbor])
+            if score > best_score:
+                best_score = score
+                best_neighbor = neighbor
+        matched[vertex] = next_cluster
+        if best_neighbor >= 0:
+            matched[best_neighbor] = next_cluster
+        next_cluster += 1
+    return matched
+
+
+def naive_coarsen_adjacency(adjacency: sp.spmatrix, assign: np.ndarray) -> sp.csr_matrix:
+    """``Sᵀ W S`` as scipy products, diagonal removed."""
+    n = adjacency.shape[0]
+    n_coarse = int(assign.max()) + 1 if assign.size else 0
+    selector = sp.csr_matrix((np.ones(n), (np.arange(n), assign)), shape=(n, n_coarse))
+    coarse = (selector.T @ adjacency @ selector).tocsr()
+    coarse.setdiag(0)
+    coarse.eliminate_zeros()
+    return coarse
+
+
+def naive_channel_connected_components(graph: CircuitGraph) -> CCCPartition:
+    """The CCC partition as a union–find over walks of the ``Edge`` list."""
+    parent = list(range(graph.n_elements))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    power = {net_local for net_local, net in enumerate(graph.nets) if is_power_net(net)}
+    ds_on_net: dict[int, list[int]] = defaultdict(list)
+    for edge in graph.edges:
+        dev = graph.elements[edge.element]
+        if not dev.kind.is_transistor or edge.net in power:
+            continue
+        if edge.label & (SOURCE_BIT | DRAIN_BIT):
+            ds_on_net[edge.net].append(edge.element)
+    for members in ds_on_net.values():
+        for other in members[1:]:
+            root_a, root_b = find(members[0]), find(other)
+            if root_a != root_b:
+                parent[root_a] = root_b
+
+    root_to_id: dict[int, int] = {}
+    components: list[set[int]] = []
+    of_element: dict[int, int] = {}
+    for idx, dev in enumerate(graph.elements):
+        if not dev.kind.is_transistor:
+            continue
+        root = find(idx)
+        if root not in root_to_id:
+            root_to_id[root] = len(components)
+            components.append(set())
+        components[root_to_id[root]].add(idx)
+        of_element[idx] = root_to_id[root]
+
+    of_net: dict[int, set[int]] = defaultdict(set)
+    for edge in graph.edges:
+        cid = of_element.get(edge.element)
+        if cid is not None:
+            of_net[edge.net].add(cid)
+    edges_of: dict[int, list] = defaultdict(list)
+    for edge in graph.edges:
+        edges_of[edge.element].append(edge)
+    for idx, dev in enumerate(graph.elements):
+        if dev.kind.is_transistor:
+            continue
+        touching: set[int] = set()
+        for edge in edges_of.get(idx, ()):
+            if edge.net not in power:
+                touching |= of_net.get(edge.net, set())
+        if touching:
+            cid = min(touching)
+        else:
+            cid = len(components)
+            components.append(set())
+        components[cid].add(idx)
+        of_element[idx] = cid
+
+    of_net = defaultdict(set)
+    for edge in graph.edges:
+        cid = of_element.get(edge.element)
+        if cid is not None:
+            of_net[edge.net].add(cid)
+    return CCCPartition(components=components, of_element=of_element, of_net=dict(of_net))

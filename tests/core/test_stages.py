@@ -271,6 +271,41 @@ class TestIncrementalRecompute:
         fresh = run_monolith(changed, HIERARCHICAL_DECK)
         _assert_results_equivalent(changed.result_from_staged(warm), fresh)
 
+    def test_older_artifact_format_entries_miss(self, quick_ota_annotator, tmp_path):
+        """Entries written before ``from_circuit`` built the edge arrays
+        (cache format stamp 2 alone, graphs without the arrays) must
+        miss: a hit would resume post1 over a graph lacking them."""
+        import pickle
+
+        from repro.primitives.library import default_library, extended_library
+
+        cache = ArtifactCache(tmp_path / "cache")
+        GanaPipeline(
+            annotator=quick_ota_annotator, library=default_library()
+        ).run_staged(HIERARCHICAL_DECK, artifact_cache=cache)
+        assert cache.entries()
+        for path in cache.entries():
+            payload = pickle.loads(path.read_bytes())
+            payload["format_version"] = 2
+            value = payload["value"]
+            annotation = getattr(value, "annotation", None)
+            for graph in (
+                getattr(value, "graph", None),
+                getattr(annotation, "graph", None),
+            ):
+                if graph is not None:
+                    graph.__dict__.pop("_edge_arrays", None)
+                    graph.__dict__.pop("_transistor_mask", None)
+            path.write_bytes(pickle.dumps(payload))
+
+        changed = GanaPipeline(
+            annotator=quick_ota_annotator, library=extended_library()
+        )
+        warm = changed.run_staged(HIERARCHICAL_DECK, artifact_cache=cache)
+        assert warm.cache_hits == ()
+        fresh = run_monolith(changed, HIERARCHICAL_DECK)
+        _assert_results_equivalent(changed.result_from_staged(warm), fresh)
+
     def test_deck_change_invalidates_everything(self, ota_pipeline, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
         ota_pipeline.run_staged(DIFF_OTA_DECK, artifact_cache=cache)

@@ -87,6 +87,17 @@ r0 n gnd! 1k
         assert X[g.element_vertex("x1/r1"), hier] == 1.0
         assert X[g.element_vertex("r0"), hier] == 0.0
 
+    def test_diode_sets_no_kind_slot(self):
+        # A diode has no kind slot; only its depth sets the block slot.
+        deck = ".subckt cell a b\nd1 a b dmod\n.ends\nd0 p q dmod\nx1 p q cell\n.end\n"
+        g = _graph(deck)
+        X = feature_matrix(g)
+        hier = feature_names().index("elem:hier_block")
+        kind_slots = list(range(hier + 1))
+        assert X[g.element_vertex("d0"), kind_slots].tolist() == [0.0] * len(kind_slots)
+        inner = X[g.element_vertex("x1/d1"), kind_slots].tolist()
+        assert inner == [0.0] * hier + [1.0]
+
     def test_diode_connected_edge_feature(self, current_mirror_graph):
         X = feature_matrix(current_mirror_graph)
         names = feature_names()

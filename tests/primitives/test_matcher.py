@@ -1,13 +1,18 @@
 """Primitive annotation: matching, dedup, overlap resolution."""
 
+import pickle
+
 import pytest
 
 from repro.core.constraints import ConstraintKind
+from repro.core.pipeline import GanaPipeline
+from repro.core.stages import pipeline_result_fingerprint
 from repro.graph.bipartite import CircuitGraph
 from repro.primitives.library import default_library, extended_library
 from repro.primitives.matcher import annotate_primitives, find_primitive_matches
 from repro.spice.flatten import flatten
 from repro.spice.parser import parse_netlist
+from tests.conftest import DIFF_OTA_DECK
 
 LIB = default_library()
 
@@ -164,3 +169,38 @@ class TestOtaAnnotation:
         # DP + per-device CS amps for the loads/tail/reference.
         assert "DP-N" in primitives
         assert not result.unclaimed
+
+
+class TestElementsMemo:
+    """``PrimitiveMatch.elements`` is built once per match and stays out
+    of equality, pickles and fingerprints."""
+
+    def _matches(self, diff_ota_graph):
+        return annotate_primitives(diff_ota_graph, LIB).matches
+
+    def test_built_once(self, diff_ota_graph):
+        match = self._matches(diff_ota_graph)[0]
+        assert match.elements is match.elements
+        assert match.elements == frozenset(name for _, name in match.element_map)
+
+    def test_equality_and_pickle_unchanged(self, diff_ota_graph):
+        fresh, touched = self._matches(diff_ota_graph), self._matches(diff_ota_graph)
+        for match in touched:
+            assert match.elements  # fills the memo
+        assert fresh == touched
+        assert [hash(m) for m in fresh] == [hash(m) for m in touched]
+        assert pickle.dumps(fresh) == pickle.dumps(touched)
+        loaded = pickle.loads(pickle.dumps(touched))
+        assert loaded == fresh
+        assert [m.elements for m in loaded] == [m.elements for m in fresh]
+
+    def test_pipeline_fingerprint_unchanged(self, quick_ota_annotator):
+        pipeline = GanaPipeline(annotator=quick_ota_annotator)
+        result = pipeline.run(DIFF_OTA_DECK)
+        matches = [m for ms in result.post1.ccc_matches.values() for m in ms]
+        assert matches
+        before = pipeline_result_fingerprint(result)
+        for match in matches:
+            assert match.elements  # fills the memo
+        assert pipeline_result_fingerprint(result) == before
+        assert pipeline_result_fingerprint(pickle.loads(pickle.dumps(result))) == before
